@@ -10,16 +10,13 @@
 //! 2); `--smoke` runs the single-seed quick matrix used by CI.
 
 use shrimp_bench::chaos::{default_matrix, render_report, run_matrix, Workload};
+use shrimp_bench::cli::flag;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let nseeds = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(if smoke { 1 } else { 2 });
+    let nseeds: u64 =
+        flag(&args, "--seeds", "chaos [--seeds N] [--smoke]").unwrap_or(if smoke { 1 } else { 2 });
     let seeds: Vec<u64> = (1..=nseeds).collect();
 
     // Two nodes carry the traffic; plans target both.

@@ -10,17 +10,13 @@
 //! is derived entirely from virtual time: reruns with the same seed
 //! are byte-identical, which the binary itself re-checks.
 
+use shrimp_bench::cli::flag;
 use shrimp_bench::collectives::render_report;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(42);
+    let seed: u64 = flag(&args, "--seed", "collectives [--seed N] [--smoke]").unwrap_or(42);
 
     let report = render_report(seed, smoke);
     print!("{report}");

@@ -25,7 +25,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use shrimp_bench::cli::flag;
 use shrimp_bench::simperf::{baseline_wall_s, render_json, run_all};
+
+const USAGE: &str = "simperf [--only NAME] [--json] [--check FILE [--threshold X]] \
+                     | simperf --obs-overhead NAME [--obs-threshold PCT]";
 
 /// Counts every allocation the workloads make. Wraps the system
 /// allocator; the counters are what `--json` reports as `allocs` /
@@ -63,13 +67,6 @@ fn read_counters() -> (u64, u64) {
         ALLOCS.load(Ordering::Relaxed),
         ALLOC_BYTES.load(Ordering::Relaxed),
     )
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 /// The observability-cost gate: run one workload alternately with the
@@ -120,18 +117,14 @@ fn run_obs_overhead(name: &str, pct_limit: f64) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(name) = arg_value(&args, "--obs-overhead") {
-        let pct_limit: f64 = arg_value(&args, "--obs-threshold")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(5.0);
+    if let Some(name) = flag::<String>(&args, "--obs-overhead", USAGE) {
+        let pct_limit = flag(&args, "--obs-threshold", USAGE).unwrap_or(5.0);
         run_obs_overhead(&name, pct_limit);
     }
-    let only = arg_value(&args, "--only");
+    let only = flag::<String>(&args, "--only", USAGE);
     let json_only = args.iter().any(|a| a == "--json");
-    let check = arg_value(&args, "--check");
-    let threshold: f64 = arg_value(&args, "--threshold")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.5);
+    let check = flag::<String>(&args, "--check", USAGE);
+    let threshold = flag(&args, "--threshold", USAGE).unwrap_or(1.5);
 
     let results = run_all(only.as_deref(), read_counters);
     if results.is_empty() {

@@ -22,7 +22,7 @@
 //!   rate, evictions, write-backs, and fault-latency percentiles.
 //!
 //! Digests over every virtual quantity gate `BENCH_rmc.json` in CI
-//! (`rmcbench --check`).
+//! (`artifacts rmc --check`).
 
 use std::sync::Arc;
 
@@ -31,8 +31,10 @@ use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, PAGE_SIZE};
 use shrimp_obs::Log2Hist;
-use shrimp_sim::{Kernel, SimChannel, SplitMix64};
+use shrimp_sim::{Fnv1a, Kernel, SimChannel, SplitMix64};
 use shrimp_svc::{SvcClient, SvcCluster, SvcConfig};
+
+use crate::artifact::{Json, Output};
 
 /// Experiment shape for all three cells.
 #[derive(Debug, Clone)]
@@ -159,13 +161,6 @@ pub struct RmcOutcome {
     pub onesided: GetCell,
     /// The disaggregated-memory pager cell.
     pub pager: PagerCell,
-}
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
 }
 
 /// Raw fetch sweep: node 0 fetches from node 1's read-exported pool.
@@ -407,10 +402,10 @@ pub fn run_all(cfg: &RmcConfig) -> RmcOutcome {
 
 /// Replay-stable digest over every virtual quantity.
 pub fn rmc_digest(o: &RmcOutcome) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for p in &o.fetch {
         for v in [p.size as u64, p.p50_ps, p.mean_ps, p.hist_digest] {
-            fnv(&mut h, &v.to_le_bytes());
+            h.write_u64(v);
         }
     }
     for c in [&o.srpc, &o.onesided] {
@@ -423,7 +418,7 @@ pub fn rmc_digest(o: &RmcOutcome) -> u64 {
             c.fetch_errors,
             c.hist_digest,
         ] {
-            fnv(&mut h, &v.to_le_bytes());
+            h.write_u64(v);
         }
     }
     for v in [
@@ -435,9 +430,9 @@ pub fn rmc_digest(o: &RmcOutcome) -> u64 {
         o.pager.fault_digest,
         o.pager.span_ps,
     ] {
-        fnv(&mut h, &v.to_le_bytes());
+        h.write_u64(v);
     }
-    h
+    h.finish()
 }
 
 fn us(ps: u64) -> f64 {
@@ -489,84 +484,97 @@ pub fn render_curve(cfg: &RmcConfig, o: &RmcOutcome) -> String {
     out
 }
 
-/// Render the committed `BENCH_rmc.json`.
-pub fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"comment\": [\n");
-    out.push_str("    \"One-sided remote memory: raw fetch latency/bandwidth, the\",\n");
-    out.push_str("    \"zero-copy svc get vs its SRPC baseline, and the disaggregated-\",\n");
-    out.push_str("    \"memory pager. Generated by `cargo run --release -p shrimp-bench\",\n");
-    out.push_str("    \"--bin rmcbench`. All quantities are virtual-time deterministic;\",\n");
-    out.push_str("    \"CI's rmc-smoke job re-runs the cells and compares the digest.\"\n");
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"mesh\": \"{}x{}\", \"fetch_reps\": {}, \"get_keys\": {}, \
-         \"get_rounds\": {}, \"pager_vpages\": {}, \"pager_frames\": {}, \"pager_ops\": {}, \
-         \"seed\": {}}},\n",
-        cfg.width,
-        cfg.height,
-        cfg.fetch_reps,
-        cfg.get_keys,
-        cfg.get_rounds,
-        cfg.pager_vpages,
-        cfg.pager_frames,
-        cfg.pager_ops,
-        cfg.seed
-    ));
-    out.push_str("  \"fetch\": [\n");
-    for (i, p) in o.fetch.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"bytes\": {}, \"p50_us\": {:.2}, \"mean_us\": {:.2}, \"mb_s\": {:.1}, \
-             \"hist_digest\": \"{:016x}\"}}{}\n",
-            p.size,
-            us(p.p50_ps),
-            us(p.mean_ps),
-            p.mb_s,
-            p.hist_digest,
-            if i + 1 == o.fetch.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
+/// Render the committed `BENCH_rmc.json`, closed by `digests`.
+fn render_json(cfg: &RmcConfig, o: &RmcOutcome, digests: &[(&str, u64)]) -> String {
+    let mut json = Json::new(
+        &[
+            "One-sided remote memory: raw fetch latency/bandwidth, the",
+            "zero-copy svc get vs its SRPC baseline, and the disaggregated-",
+            "memory pager. Generated by `cargo run --release -p shrimp-bench",
+            "--bin artifacts -- rmc --write`. All quantities are virtual-time",
+            "deterministic; CI's rmc-smoke job re-runs the cells and compares",
+            "the digest.",
+        ],
+        &format!(
+            "\"mesh\": \"{}x{}\", \"fetch_reps\": {}, \"get_keys\": {}, \
+             \"get_rounds\": {}, \"pager_vpages\": {}, \"pager_frames\": {}, \"pager_ops\": {}, \
+             \"seed\": {}",
+            cfg.width,
+            cfg.height,
+            cfg.fetch_reps,
+            cfg.get_keys,
+            cfg.get_rounds,
+            cfg.pager_vpages,
+            cfg.pager_frames,
+            cfg.pager_ops,
+            cfg.seed
+        ),
+    );
+    let rows: Vec<String> = o
+        .fetch
+        .iter()
+        .map(|p| {
+            format!(
+                "\"bytes\": {}, \"p50_us\": {:.2}, \"mean_us\": {:.2}, \"mb_s\": {:.1}, \
+                 \"hist_digest\": \"{:016x}\"",
+                p.size,
+                us(p.p50_ps),
+                us(p.mean_ps),
+                p.mb_s,
+                p.hist_digest,
+            )
+        })
+        .collect();
+    json.array("fetch", &rows);
     for (name, c) in [("srpc_get", &o.srpc), ("onesided_get", &o.onesided)] {
-        out.push_str(&format!(
-            "  \"{name}\": {{\"p50_us\": {:.2}, \"mean_us\": {:.2}, \"gets\": {}, \
-             \"fetch_hits\": {}, \"fetch_misses\": {}, \"fetch_errors\": {}, \
-             \"hist_digest\": \"{:016x}\"}},\n",
-            us(c.p50_ps),
-            us(c.mean_ps),
-            c.gets,
-            c.fetch_hits,
-            c.fetch_misses,
-            c.fetch_errors,
-            c.hist_digest,
-        ));
+        json.object(
+            name,
+            &format!(
+                "\"p50_us\": {:.2}, \"mean_us\": {:.2}, \"gets\": {}, \
+                 \"fetch_hits\": {}, \"fetch_misses\": {}, \"fetch_errors\": {}, \
+                 \"hist_digest\": \"{:016x}\"",
+                us(c.p50_ps),
+                us(c.mean_ps),
+                c.gets,
+                c.fetch_hits,
+                c.fetch_misses,
+                c.fetch_errors,
+                c.hist_digest,
+            ),
+        );
     }
-    out.push_str(&format!(
-        "  \"pager\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"writebacks\": {}, \
-         \"hit_rate\": {:.3}, \"fault_p50_us\": {:.2}, \"fault_digest\": \"{:016x}\"}},\n",
-        o.pager.hits,
-        o.pager.misses,
-        o.pager.evictions,
-        o.pager.writebacks,
-        o.pager.hit_rate,
-        us(o.pager.fault_p50_ps),
-        o.pager.fault_digest,
-    ));
-    out.push_str(&format!(
-        "  \"rmc_digest\": \"{:016x}\"\n}}\n",
-        rmc_digest(o)
-    ));
-    out
+    json.object(
+        "pager",
+        &format!(
+            "\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"writebacks\": {}, \
+             \"hit_rate\": {:.3}, \"fault_p50_us\": {:.2}, \"fault_digest\": \"{:016x}\"",
+            o.pager.hits,
+            o.pager.misses,
+            o.pager.evictions,
+            o.pager.writebacks,
+            o.pager.hit_rate,
+            us(o.pager.fault_p50_ps),
+            o.pager.fault_digest,
+        ),
+    );
+    json.finish(digests)
 }
 
-/// Extract a `"<field>": "<16 hex>"` digest from a committed
-/// `BENCH_rmc.json`.
-pub fn committed_digest(json: &str, field: &str) -> Option<u64> {
-    let at = json.find(&format!("\"{field}\""))?;
-    let tail = &json[at..];
-    let q1 = tail.find(": \"")? + 3;
-    let hex = tail.get(q1..q1 + 16)?;
-    u64::from_str_radix(hex, 16).ok()
+/// The `rmc` artifact: every cell at the committed size (CI-sized
+/// under `smoke`), gated on `rmc_digest`.
+pub fn artifact(smoke: bool) -> Output {
+    let cfg = if smoke {
+        RmcConfig::smoke()
+    } else {
+        RmcConfig::paper()
+    };
+    let o = run_all(&cfg);
+    let digests = vec![("rmc_digest", rmc_digest(&o))];
+    Output {
+        text: render_curve(&cfg, &o),
+        json: (!smoke).then(|| render_json(&cfg, &o, &digests)),
+        digests,
+    }
 }
 
 #[cfg(test)]
@@ -584,13 +592,5 @@ mod tests {
         assert!(o.fetch.last().unwrap().mb_s > o.fetch.first().unwrap().mb_s);
         let o2 = run_all(&cfg);
         assert_eq!(rmc_digest(&o), rmc_digest(&o2), "rmcbench must replay");
-    }
-
-    #[test]
-    fn digest_extraction_roundtrips() {
-        let cfg = RmcConfig::smoke();
-        let o = run_all(&cfg);
-        let json = render_json(&cfg, &o);
-        assert_eq!(committed_digest(&json, "rmc_digest"), Some(rmc_digest(&o)));
     }
 }

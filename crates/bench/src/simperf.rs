@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use shrimp_node::CostModel;
 use shrimp_sim::metrics::MetricsSnapshot;
-use shrimp_sim::MetricsRegistry;
+use shrimp_sim::{Fnv1a, MetricsRegistry};
 
 use crate::collectives::{allreduce_sweep, barrier_latency};
 use crate::pingpong::{vmmc_pingpong, Strategy};
@@ -70,18 +70,11 @@ pub fn no_alloc_counter() -> (u64, u64) {
     (0, 0)
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-fn digest_points(h: &mut u64, points: &[Point]) {
+fn digest_points(h: &mut Fnv1a, points: &[Point]) {
     for p in points {
-        fnv1a(h, &p.size.to_le_bytes());
-        fnv1a(h, &p.latency_us.to_bits().to_le_bytes());
-        fnv1a(h, &p.bandwidth_mbs.to_bits().to_le_bytes());
+        h.write(&p.size.to_le_bytes());
+        h.write_u64(p.latency_us.to_bits());
+        h.write_u64(p.bandwidth_mbs.to_bits());
     }
 }
 
@@ -116,7 +109,7 @@ fn run_workload(
 pub fn workload_fig3(alloc_counter: AllocCounter) -> WorkloadResult {
     run_workload("fig3", alloc_counter, || {
         let sizes = paper_sizes();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::new();
         for strategy in Strategy::all() {
             let pts: Vec<Point> = sizes
                 .iter()
@@ -124,7 +117,7 @@ pub fn workload_fig3(alloc_counter: AllocCounter) -> WorkloadResult {
                 .collect();
             digest_points(&mut h, &pts);
         }
-        h
+        h.finish()
     })
 }
 
@@ -133,7 +126,7 @@ pub fn workload_fig3(alloc_counter: AllocCounter) -> WorkloadResult {
 pub fn workload_fig7(alloc_counter: AllocCounter) -> WorkloadResult {
     run_workload("fig7", alloc_counter, || {
         let sizes = paper_sizes();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::new();
         for variant in socket_variants() {
             let pts: Vec<Point> = sizes
                 .iter()
@@ -141,7 +134,7 @@ pub fn workload_fig7(alloc_counter: AllocCounter) -> WorkloadResult {
                 .collect();
             digest_points(&mut h, &pts);
         }
-        h
+        h.finish()
     })
 }
 
@@ -154,14 +147,14 @@ fn workload_coll(
     alloc_counter: AllocCounter,
 ) -> WorkloadResult {
     run_workload(name, alloc_counter, || {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::new();
         let barrier_us = barrier_latency(width, height, rounds.max(4));
-        fnv1a(&mut h, &barrier_us.to_bits().to_le_bytes());
+        h.write_u64(barrier_us.to_bits());
         for pt in allreduce_sweep(width, height, sizes, None, rounds, 42) {
-            fnv1a(&mut h, &pt.bytes.to_le_bytes());
-            fnv1a(&mut h, &pt.us_per_op.to_bits().to_le_bytes());
+            h.write(&pt.bytes.to_le_bytes());
+            h.write_u64(pt.us_per_op.to_bits());
         }
-        h
+        h.finish()
     })
 }
 

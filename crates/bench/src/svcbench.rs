@@ -18,16 +18,19 @@
 //!   failover gap and the promotion log.
 //!
 //! Digests over every virtual quantity gate `BENCH_svc.json` in CI
-//! (`svcbench --check`): an engine or service change that shifts any
-//! latency bucket, shed count, or promotion instant fails the check.
+//! (`artifacts svc --check`): an engine or service change that shifts
+//! any latency bucket, shed count, or promotion instant fails the
+//! check.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_mesh::{Mesh2D, TopologyRef};
-use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Kernel, SimDur, SimTime};
+use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Fnv1a, Kernel, SimDur, SimTime};
 use shrimp_svc::{spawn_engine, LoadPlan, LoadStats, SvcCluster, SvcConfig};
+
+use crate::artifact::{Json, Output};
 
 /// Sweep shape: fabric, engines (one per node), and the offered rates.
 #[derive(Debug, Clone)]
@@ -182,13 +185,6 @@ pub struct FailoverOutcome {
     pub hist_digest: u64,
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Spawn one engine per node and run the cluster to quiescence,
 /// returning the merged stats (and the cluster for post-run checks).
 fn drive(
@@ -286,24 +282,7 @@ pub fn run_failover(cfg: &SweepConfig) -> FailoverOutcome {
         !promotions.is_empty(),
         "killing a primary's node must promote at least one shard"
     );
-    // Zero lost acknowledged writes: every acked mutation is still
-    // reflected in the authoritative store at >= its acked sequence
-    // (retries may have re-applied it under a later sequence).
-    let mut lost = 0u64;
-    for (shard, seq, op) in &stats.acked {
-        let store = cluster.authoritative_store(*shard);
-        let guard = store.lock();
-        let (eseq, val) = guard.get(op.key());
-        let held = eseq >= *seq
-            && (eseq > *seq
-                || match op {
-                    shrimp_svc::Op::Put { val: v, .. } => val == Some(v.as_slice()),
-                    shrimp_svc::Op::Del { .. } => val.is_none(),
-                });
-        if !held {
-            lost += 1;
-        }
-    }
+    let lost = cluster.lost_acks(&stats.acked);
     assert_eq!(lost, 0, "acknowledged writes were lost across failover");
     // The measured failover gap: the retry layer usually rides the
     // promotion out without surfacing an error, so the client-visible
@@ -343,19 +322,19 @@ pub fn run_sweep(cfg: &SweepConfig) -> (Vec<CurvePoint>, FailoverOutcome) {
 
 /// Replay-stable digest over the curve's virtual quantities.
 pub fn curve_digest(curve: &[CurvePoint]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for p in curve {
-        fnv(&mut h, &p.rate_per_engine.to_bits().to_le_bytes());
+        h.write_u64(p.rate_per_engine.to_bits());
         for v in [p.issued, p.shed, p.ok, p.errors, p.span_ps, p.hist_digest] {
-            fnv(&mut h, &v.to_le_bytes());
+            h.write_u64(v);
         }
     }
-    h
+    h.finish()
 }
 
 /// Replay-stable digest over the failover cell.
 pub fn failover_digest(f: &FailoverOutcome) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for v in [
         f.ok,
         f.errors,
@@ -369,10 +348,10 @@ pub fn failover_digest(f: &FailoverOutcome) -> u64 {
         f.state_digest,
         f.hist_digest,
     ] {
-        fnv(&mut h, &v.to_le_bytes());
+        h.write_u64(v);
     }
-    fnv(&mut h, f.promotion_log.as_bytes());
-    h
+    h.write(f.promotion_log.as_bytes());
+    h.finish()
 }
 
 fn us(ps: u64) -> f64 {
@@ -439,88 +418,103 @@ pub fn render_curve(cfg: &SweepConfig, curve: &[CurvePoint], failover: &Failover
     out
 }
 
-/// Render the committed `BENCH_svc.json`.
-pub fn render_json(cfg: &SweepConfig, curve: &[CurvePoint], failover: &FailoverOutcome) -> String {
+/// Render the committed `BENCH_svc.json`, closed by `digests`.
+fn render_json(
+    cfg: &SweepConfig,
+    curve: &[CurvePoint],
+    failover: &FailoverOutcome,
+    digests: &[(&str, u64)],
+) -> String {
     let (width, height) = cfg.dims();
-    let mut out = String::from("{\n");
-    out.push_str("  \"comment\": [\n");
-    out.push_str("    \"Throughput-vs-offered-load and failover measurement for the\",\n");
-    out.push_str("    \"shrimp-svc sharded replicated KV service, generated by\",\n");
-    out.push_str("    \"`cargo run --release -p shrimp-bench --bin svcbench`. All\",\n");
-    out.push_str("    \"quantities are virtual-time and deterministic: regenerating on\",\n");
-    out.push_str("    \"any host must reproduce this file byte-identically. CI's\",\n");
-    out.push_str("    \"svc-smoke job re-runs the sweep and compares the digests.\"\n");
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"mesh\": \"{}x{}\", \"engines\": {}, \"requests_per_engine\": {}, \
-         \"seed\": {}}},\n",
-        width,
-        height,
-        cfg.engines(),
-        cfg.requests,
-        cfg.seed
-    ));
-    out.push_str("  \"curve\": [\n");
-    for (i, p) in curve.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rate_per_engine\": {:.0}, \"offered_kops\": {:.1}, \"issued\": {}, \
-             \"shed\": {}, \"ok\": {}, \"errors\": {}, \"achieved_kops\": {:.1}, \
-             \"p50_us\": {:.2}, \"p95_us\": {:.2}, \"p99_us\": {:.2}, \"p999_us\": {:.2}, \
-             \"mean_us\": {:.2}, \"hist_digest\": \"{:016x}\"}}{}\n",
-            p.rate_per_engine,
-            p.offered_kops,
-            p.issued,
-            p.shed,
-            p.ok,
-            p.errors,
-            p.achieved_kops,
-            us(p.p50_ps),
-            us(p.p95_ps),
-            us(p.p99_ps),
-            us(p.p999_ps),
-            us(p.mean_ps),
-            p.hist_digest,
-            if i + 1 == curve.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"failover\": {{\"crash_node\": {}, \"crash_at_us\": {:.0}, \"downtime_us\": {:.0}, \
-         \"ok\": {}, \"errors\": {}, \"acked_writes\": {}, \"lost_acks\": {}, \
-         \"promotions\": {}, \"outages\": {}, \"max_stall_us\": {:.2}, \
-         \"baseline_max_us\": {:.2}, \"gap_us\": {:.2}, \
-         \"promotion_log\": \"{}\", \"state_digest\": \"{:016x}\"}},\n",
-        cfg.crash_node,
-        us(cfg.crash_at.as_ps()),
-        us(cfg.downtime.as_ps()),
-        failover.ok,
-        failover.errors,
-        failover.acked_writes,
-        failover.lost_acks,
-        failover.promotions,
-        failover.outages,
-        us(failover.max_ps),
-        us(failover.baseline_max_ps),
-        us(failover.gap_ps),
-        failover.promotion_log.trim_end().replace('\n', "; "),
-        failover.state_digest,
-    ));
-    out.push_str(&format!(
-        "  \"curve_digest\": \"{:016x}\",\n  \"failover_digest\": \"{:016x}\"\n}}\n",
-        curve_digest(curve),
-        failover_digest(failover),
-    ));
-    out
+    let mut json = Json::new(
+        &[
+            "Throughput-vs-offered-load and failover measurement for the",
+            "shrimp-svc sharded replicated KV service, generated by",
+            "`cargo run --release -p shrimp-bench --bin artifacts -- svc",
+            "--write`. All quantities are virtual-time and deterministic:",
+            "regenerating on any host must reproduce this file",
+            "byte-identically. CI's svc-smoke job re-runs the sweep and",
+            "compares the digests.",
+        ],
+        &format!(
+            "\"mesh\": \"{}x{}\", \"engines\": {}, \"requests_per_engine\": {}, \"seed\": {}",
+            width,
+            height,
+            cfg.engines(),
+            cfg.requests,
+            cfg.seed
+        ),
+    );
+    let rows: Vec<String> = curve
+        .iter()
+        .map(|p| {
+            format!(
+                "\"rate_per_engine\": {:.0}, \"offered_kops\": {:.1}, \"issued\": {}, \
+                 \"shed\": {}, \"ok\": {}, \"errors\": {}, \"achieved_kops\": {:.1}, \
+                 \"p50_us\": {:.2}, \"p95_us\": {:.2}, \"p99_us\": {:.2}, \"p999_us\": {:.2}, \
+                 \"mean_us\": {:.2}, \"hist_digest\": \"{:016x}\"",
+                p.rate_per_engine,
+                p.offered_kops,
+                p.issued,
+                p.shed,
+                p.ok,
+                p.errors,
+                p.achieved_kops,
+                us(p.p50_ps),
+                us(p.p95_ps),
+                us(p.p99_ps),
+                us(p.p999_ps),
+                us(p.mean_ps),
+                p.hist_digest,
+            )
+        })
+        .collect();
+    json.array("curve", &rows);
+    json.object(
+        "failover",
+        &format!(
+            "\"crash_node\": {}, \"crash_at_us\": {:.0}, \"downtime_us\": {:.0}, \
+             \"ok\": {}, \"errors\": {}, \"acked_writes\": {}, \"lost_acks\": {}, \
+             \"promotions\": {}, \"outages\": {}, \"max_stall_us\": {:.2}, \
+             \"baseline_max_us\": {:.2}, \"gap_us\": {:.2}, \
+             \"promotion_log\": \"{}\", \"state_digest\": \"{:016x}\"",
+            cfg.crash_node,
+            us(cfg.crash_at.as_ps()),
+            us(cfg.downtime.as_ps()),
+            failover.ok,
+            failover.errors,
+            failover.acked_writes,
+            failover.lost_acks,
+            failover.promotions,
+            failover.outages,
+            us(failover.max_ps),
+            us(failover.baseline_max_ps),
+            us(failover.gap_ps),
+            failover.promotion_log.trim_end().replace('\n', "; "),
+            failover.state_digest,
+        ),
+    );
+    json.finish(digests)
 }
 
-/// Extract a `"<field>": "<16 hex>"` digest from a committed
-/// `BENCH_svc.json`.
-pub fn committed_digest(json: &str, field: &str) -> Option<u64> {
-    let at = json.find(&format!("\"{field}\""))?;
-    let tail = &json[at..];
-    let q1 = tail.find(": \"")? + 3;
-    let hex = tail.get(q1..q1 + 16)?;
-    u64::from_str_radix(hex, 16).ok()
+/// The `svc` artifact: the 4×4 sweep (2×2 under `smoke`), gated on
+/// `curve_digest` and `failover_digest`.
+pub fn artifact(smoke: bool) -> Output {
+    let cfg = if smoke {
+        SweepConfig::smoke()
+    } else {
+        SweepConfig::paper_4x4()
+    };
+    let (curve, failover) = run_sweep(&cfg);
+    let digests = vec![
+        ("curve_digest", curve_digest(&curve)),
+        ("failover_digest", failover_digest(&failover)),
+    ];
+    Output {
+        text: render_curve(&cfg, &curve, &failover),
+        json: (!smoke).then(|| render_json(&cfg, &curve, &failover, &digests)),
+        digests,
+    }
 }
 
 #[cfg(test)]
@@ -559,21 +553,5 @@ mod tests {
         assert!(f.promotions >= 1);
         assert!(f.gap_ps > 0);
         assert!(f.promotion_log.contains("promote shard="));
-    }
-
-    #[test]
-    fn digest_extraction_roundtrips() {
-        let cfg = SweepConfig::smoke();
-        let curve = vec![run_point(&cfg, cfg.rates[0])];
-        let f = run_failover(&cfg);
-        let json = render_json(&cfg, &curve, &f);
-        assert_eq!(
-            committed_digest(&json, "curve_digest"),
-            Some(curve_digest(&curve))
-        );
-        assert_eq!(
-            committed_digest(&json, "failover_digest"),
-            Some(failover_digest(&f))
-        );
     }
 }

@@ -20,7 +20,7 @@
 //! writes**, p999 latency under the configured SLO, and a bounded shed
 //! fraction. Everything is virtual-time and deterministic — the
 //! committed `BENCH_svcsoak.json` digest is a bit-for-bit replay gate
-//! (`svcsoak --check`), and the obs recorder rides along so the
+//! (`artifacts svcsoak --check`), and the obs recorder rides along so the
 //! service-layer span count is part of the fingerprint.
 
 use std::sync::Arc;
@@ -29,8 +29,10 @@ use parking_lot::Mutex;
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_mesh::{Mesh2D, TopologyRef};
 use shrimp_obs::{Layer, Recorder};
-use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Kernel, SimDur, SimTime};
+use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Fnv1a, Kernel, SimDur, SimTime};
 use shrimp_svc::{spawn_engine, ClusterEvent, LoadPlan, LoadStats, SvcCluster, SvcConfig};
+
+use crate::artifact::{Json, Output};
 
 /// Soak shape: mesh, engines, load mix, the fault matrix, and the SLO
 /// the soaked run must hold.
@@ -294,17 +296,10 @@ pub struct SoakOutcome {
     pub state_digest: u64,
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Replay-stable digest over the whole soak (both runs, the healing
 /// audit, and the event log).
 pub fn soak_digest(o: &SoakOutcome) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for run in [&o.baseline, &o.soaked] {
         for v in [
             run.issued,
@@ -323,7 +318,7 @@ pub fn soak_digest(o: &SoakOutcome) -> u64 {
             run.hist_digest,
             run.service_spans,
         ] {
-            fnv(&mut h, &v.to_le_bytes());
+            h.write_u64(v);
         }
     }
     for v in [
@@ -334,10 +329,10 @@ pub fn soak_digest(o: &SoakOutcome) -> u64 {
         o.rearmed,
         o.state_digest,
     ] {
-        fnv(&mut h, &v.to_le_bytes());
+        h.write_u64(v);
     }
-    fnv(&mut h, o.event_log.as_bytes());
-    h
+    h.write(o.event_log.as_bytes());
+    h.finish()
 }
 
 /// Build a mesh, spawn the cluster and `cfg.engines` load engines
@@ -418,25 +413,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     let (stats, cluster, spans) = drive(cfg, &plan, &cfg.fault_plan(), true);
 
     // Zero lost acknowledged writes across the brownout, the crash
-    // promotion, the re-replications, and every live migration: each
-    // acked mutation must still be reflected in the authoritative
-    // store at >= its acked sequence (retries may have re-applied it
-    // under a later sequence).
-    let mut lost = 0u64;
-    for (shard, seq, op) in &stats.acked {
-        let store = cluster.authoritative_store(*shard);
-        let guard = store.lock();
-        let (eseq, val) = guard.get(op.key());
-        let held = eseq >= *seq
-            && (eseq > *seq
-                || match op {
-                    shrimp_svc::Op::Put { val: v, .. } => val == Some(v.as_slice()),
-                    shrimp_svc::Op::Del { .. } => val.is_none(),
-                });
-        if !held {
-            lost += 1;
-        }
-    }
+    // promotion, the re-replications, and every live migration.
+    let lost = cluster.lost_acks(&stats.acked);
     assert_eq!(lost, 0, "acknowledged writes were lost during the soak");
 
     let events = cluster.events();
@@ -591,92 +569,110 @@ pub fn render_report(cfg: &SoakConfig, o: &SoakOutcome) -> String {
 }
 
 /// Render the committed `BENCH_svcsoak.json` from the full soak's
-/// outcome plus the smoke configuration's digest (CI's soak job runs
-/// the cheap smoke soak and gates on `smoke_digest`; regenerating the
-/// file requires both runs).
-pub fn render_json(cfg: &SoakConfig, o: &SoakOutcome, smoke_digest: u64) -> String {
+/// outcome, closed by `digests` (the smoke soak's digest, which CI's
+/// soak job gates on, then the full soak's).
+fn render_json(cfg: &SoakConfig, o: &SoakOutcome, digests: &[(&str, u64)]) -> String {
     let (width, height) = cfg.dims();
-    let mut out = String::from("{\n");
-    out.push_str("  \"comment\": [\n");
-    out.push_str("    \"Chaos-soaked SLO soak for the shrimp-svc self-healing serving\",\n");
-    out.push_str("    \"stack (brownout + primary crash + live migrations under load),\",\n");
-    out.push_str("    \"generated by `cargo run --release -p shrimp-bench --bin svcsoak`.\",\n");
-    out.push_str("    \"All quantities are virtual-time and deterministic: regenerating\",\n");
-    out.push_str("    \"on any host must reproduce this file byte-identically. CI's\",\n");
-    out.push_str("    \"svc-soak job re-runs the smoke soak and gates on smoke_digest;\",\n");
-    out.push_str("    \"the default (4x4) run gates on soak_digest.\"\n");
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"mesh\": \"{}x{}\", \"engines\": {}, \"requests_per_engine\": {}, \
-         \"rate_per_engine\": {:.0}, \"seed\": {}, \"slo_p999_us\": {:.0}, \
-         \"max_shed_fraction\": {:.2}, \"migrations\": {}}},\n",
-        width,
-        height,
-        cfg.engines,
-        cfg.requests,
-        cfg.rate,
-        cfg.seed,
-        us(cfg.slo_p999.as_ps()),
-        cfg.max_shed_fraction,
-        cfg.migrations.len(),
-    ));
+    let mut json = Json::new(
+        &[
+            "Chaos-soaked SLO soak for the shrimp-svc self-healing serving",
+            "stack (brownout + primary crash + live migrations under load),",
+            "generated by `cargo run --release -p shrimp-bench --bin artifacts",
+            "-- svcsoak --write`. All quantities are virtual-time and",
+            "deterministic: regenerating on any host must reproduce this file",
+            "byte-identically. CI's svc-soak job re-runs the smoke soak and",
+            "gates on smoke_digest; the default (4x4) run gates on",
+            "soak_digest.",
+        ],
+        &format!(
+            "\"mesh\": \"{}x{}\", \"engines\": {}, \"requests_per_engine\": {}, \
+             \"rate_per_engine\": {:.0}, \"seed\": {}, \"slo_p999_us\": {:.0}, \
+             \"max_shed_fraction\": {:.2}, \"migrations\": {}",
+            width,
+            height,
+            cfg.engines,
+            cfg.requests,
+            cfg.rate,
+            cfg.seed,
+            us(cfg.slo_p999.as_ps()),
+            cfg.max_shed_fraction,
+            cfg.migrations.len(),
+        ),
+    );
     for (name, run) in [("baseline", &o.baseline), ("soaked", &o.soaked)] {
-        out.push_str(&format!(
-            "  \"{}\": {{\"issued\": {}, \"shed\": {}, \"shed_scans\": {}, \"shed_writes\": {}, \
-             \"shed_reads\": {}, \"ok\": {}, \"errors\": {}, \"hedges\": {}, \"hedge_wins\": {}, \
-             \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"p999_us\": {:.2}, \"max_us\": {:.2}, \
-             \"service_spans\": {}, \"hist_digest\": \"{:016x}\"}},\n",
+        json.object(
             name,
-            run.issued,
-            run.shed,
-            run.shed_scans,
-            run.shed_writes,
-            run.shed_reads,
-            run.ok,
-            run.errors,
-            run.hedges,
-            run.hedge_wins,
-            us(run.p50_ps),
-            us(run.p99_ps),
-            us(run.p999_ps),
-            us(run.max_ps),
-            run.service_spans,
-            run.hist_digest,
-        ));
+            &format!(
+                "\"issued\": {}, \"shed\": {}, \"shed_scans\": {}, \"shed_writes\": {}, \
+                 \"shed_reads\": {}, \"ok\": {}, \"errors\": {}, \"hedges\": {}, \"hedge_wins\": {}, \
+                 \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"p999_us\": {:.2}, \"max_us\": {:.2}, \
+                 \"service_spans\": {}, \"hist_digest\": \"{:016x}\"",
+                run.issued,
+                run.shed,
+                run.shed_scans,
+                run.shed_writes,
+                run.shed_reads,
+                run.ok,
+                run.errors,
+                run.hedges,
+                run.hedge_wins,
+                us(run.p50_ps),
+                us(run.p99_ps),
+                us(run.p999_ps),
+                us(run.max_ps),
+                run.service_spans,
+                run.hist_digest,
+            ),
+        );
     }
-    out.push_str(&format!(
-        "  \"healing\": {{\"acked_writes\": {}, \"lost_acks\": {}, \"promotions\": {}, \
-         \"migrated\": {}, \"rearmed\": {}, \"event_log\": \"{}\", \
-         \"state_digest\": \"{:016x}\"}},\n",
-        o.acked_writes,
-        o.lost_acks,
-        o.promotions,
-        o.migrated,
-        o.rearmed,
-        o.event_log.trim_end().replace('\n', "; "),
-        o.state_digest,
-    ));
-    out.push_str(&format!(
-        "  \"smoke_digest\": \"{:016x}\",\n  \"soak_digest\": \"{:016x}\"\n}}\n",
-        smoke_digest,
-        soak_digest(o)
-    ));
-    out
+    json.object(
+        "healing",
+        &format!(
+            "\"acked_writes\": {}, \"lost_acks\": {}, \"promotions\": {}, \
+             \"migrated\": {}, \"rearmed\": {}, \"event_log\": \"{}\", \
+             \"state_digest\": \"{:016x}\"",
+            o.acked_writes,
+            o.lost_acks,
+            o.promotions,
+            o.migrated,
+            o.rearmed,
+            o.event_log.trim_end().replace('\n', "; "),
+            o.state_digest,
+        ),
+    );
+    json.finish(digests)
 }
 
-/// Extract a `"<field>": "<16 hex>"` digest from a committed
-/// `BENCH_svcsoak.json`.
-pub fn committed_digest(json: &str, field: &str) -> Option<u64> {
-    let at = json.find(&format!("\"{field}\""))?;
-    let tail = &json[at..];
-    let q1 = tail.find(": \"")? + 3;
-    let hex = tail.get(q1..q1 + 16)?;
-    u64::from_str_radix(hex, 16).ok()
+/// The `svcsoak` artifact. The full run soaks the 4×4 configuration
+/// and also the smoke one, whose digest the JSON commits for CI; a
+/// smoke run soaks only the 2×2 configuration.
+pub fn artifact(smoke: bool) -> Output {
+    if smoke {
+        let cfg = SoakConfig::smoke();
+        let o = run_soak(&cfg);
+        return Output {
+            text: render_report(&cfg, &o),
+            json: None,
+            digests: vec![("smoke_digest", soak_digest(&o))],
+        };
+    }
+    let cfg = SoakConfig::paper_4x4();
+    let o = run_soak(&cfg);
+    let digests = vec![
+        ("smoke_digest", soak_digest(&run_soak(&SoakConfig::smoke()))),
+        ("soak_digest", soak_digest(&o)),
+    ];
+    Output {
+        text: render_report(&cfg, &o),
+        json: Some(render_json(&cfg, &o, &digests)),
+        digests,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::committed_digest;
 
     #[test]
     fn smoke_soak_holds_slo_and_replays_bit_identically() {
@@ -697,17 +693,16 @@ mod tests {
     }
 
     #[test]
-    fn digest_extraction_roundtrips() {
+    fn rendered_json_carries_every_digest() {
         let cfg = SoakConfig::smoke();
         let o = run_soak(&cfg);
-        let json = render_json(&cfg, &o, 0xdead_beef_dead_beef);
-        assert_eq!(
-            committed_digest(&json, "soak_digest"),
-            Some(soak_digest(&o))
-        );
-        assert_eq!(
-            committed_digest(&json, "smoke_digest"),
-            Some(0xdead_beef_dead_beef)
-        );
+        let digests = [
+            ("smoke_digest", 0xdead_beef_dead_beef),
+            ("soak_digest", soak_digest(&o)),
+        ];
+        let json = render_json(&cfg, &o, &digests);
+        for (field, d) in digests {
+            assert_eq!(committed_digest(&json, field), Some(d), "{field}");
+        }
     }
 }

@@ -22,7 +22,7 @@
 //!   (and so the whole system stack) refuses to build on it.
 //!
 //! Digests over every virtual quantity gate `BENCH_topo.json` in CI
-//! (`topobench --smoke --check`).
+//! (`artifacts topo --smoke --check`).
 
 use std::sync::Arc;
 
@@ -31,8 +31,9 @@ use shrimp_coll::{CollConfig, CollImpl};
 use shrimp_mesh::{
     AdaptiveMesh, Backplane, Dragonfly, FatTree, LinkParams, Mesh2D, NodeId, TopologyRef, Torus2D,
 };
-use shrimp_sim::Kernel;
+use shrimp_sim::{Fnv1a, Kernel};
 
+use crate::artifact::{Json, Output};
 use crate::collectives::{allreduce_sweep_with, barrier_latency_with};
 
 /// Barrier rounds per timed cell.
@@ -229,20 +230,13 @@ pub fn adaptive_ablation(width: usize, height: usize, per_node: usize) -> Vec<Ab
     out
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Replay-stable digest over the zoo curves plus the ablation.
 pub fn topo_digest(points: &[TopoPoint], ablation: &[AblationPoint]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for p in points {
-        fnv(&mut h, p.topo.as_bytes());
+        h.write(p.topo.as_bytes());
         for v in [p.nodes as u64, p.diameter as u64, p.links as u64] {
-            fnv(&mut h, &v.to_le_bytes());
+            h.write_u64(v);
         }
         for v in [
             p.sw_barrier_us,
@@ -250,16 +244,16 @@ pub fn topo_digest(points: &[TopoPoint], ablation: &[AblationPoint]) -> u64 {
             p.sw_allreduce_us,
             p.hw_allreduce_us,
         ] {
-            fnv(&mut h, &v.to_bits().to_le_bytes());
+            h.write_u64(v.to_bits());
         }
     }
     for a in ablation {
-        fnv(&mut h, a.topo.as_bytes());
-        fnv(&mut h, &a.mean_us.to_bits().to_le_bytes());
-        fnv(&mut h, &a.max_us.to_bits().to_le_bytes());
-        fnv(&mut h, &a.reordered.to_le_bytes());
+        h.write(a.topo.as_bytes());
+        h.write_u64(a.mean_us.to_bits());
+        h.write_u64(a.max_us.to_bits());
+        h.write_u64(a.reordered);
     }
-    h
+    h.finish()
 }
 
 /// Render the committed `results/topo_curve.txt` (byte-identical
@@ -316,81 +310,95 @@ pub fn render_curve(points: &[TopoPoint], ablation: &[AblationPoint]) -> String 
     out
 }
 
-/// Render the committed `BENCH_topo.json` from the full run plus the
-/// smoke configuration's digest (CI's topo-smoke job runs the cheap
-/// smoke sweep and gates on `smoke_digest`; regenerating the file
-/// requires both runs).
-pub fn render_json(points: &[TopoPoint], ablation: &[AblationPoint], smoke_digest: u64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"comment\": [\n");
-    out.push_str("    \"Topology zoo: the same barrier/allreduce workload over mesh,\",\n");
-    out.push_str("    \"torus, fat-tree, and dragonfly fabrics, software algorithms vs\",\n");
-    out.push_str("    \"the in-network combining stage, plus the adaptive-routing\",\n");
-    out.push_str("    \"ablation. Generated by `cargo run --release -p shrimp-bench\",\n");
-    out.push_str("    \"--bin topobench`. All quantities are virtual-time and\",\n");
-    out.push_str("    \"deterministic: regenerating on any host must reproduce this\",\n");
-    out.push_str("    \"file byte-identically. CI's topo-smoke job re-runs the smoke\",\n");
-    out.push_str("    \"sweep and gates on smoke_digest.\"\n");
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"barrier_rounds\": {BARRIER_ROUNDS}, \"allreduce_bytes\": \
-         {ALLREDUCE_BYTES}, \"allreduce_rounds\": {SWEEP_ROUNDS}, \"seed\": {SEED}}},\n"
-    ));
-    out.push_str("  \"curve\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"topo\": \"{}\", \"nodes\": {}, \"diameter\": {}, \"links\": {}, \
-             \"sw_barrier_us\": {:.2}, \"hw_barrier_us\": {:.2}, \"barrier_speedup\": {:.2}, \
-             \"sw_allreduce_us\": {:.2}, \"hw_allreduce_us\": {:.2}, \
-             \"allreduce_speedup\": {:.2}}}{}\n",
-            p.topo,
-            p.nodes,
-            p.diameter,
-            p.links,
-            p.sw_barrier_us,
-            p.hw_barrier_us,
-            p.barrier_speedup(),
-            p.sw_allreduce_us,
-            p.hw_allreduce_us,
-            p.allreduce_speedup(),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"ablation\": [\n");
-    for (i, a) in ablation.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"topo\": \"{}\", \"mean_us\": {:.2}, \"max_us\": {:.2}, \
-             \"reordered\": {}}}{}\n",
-            a.topo,
-            a.mean_us,
-            a.max_us,
-            a.reordered,
-            if i + 1 == ablation.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"smoke_digest\": \"{:016x}\",\n  \"topo_digest\": \"{:016x}\"\n}}\n",
-        smoke_digest,
-        topo_digest(points, ablation),
-    ));
-    out
+/// Render the committed `BENCH_topo.json` from the full run, closed by
+/// `digests` (the smoke sweep's digest, which CI's topo-smoke job gates
+/// on, then the full run's).
+fn render_json(
+    points: &[TopoPoint],
+    ablation: &[AblationPoint],
+    digests: &[(&str, u64)],
+) -> String {
+    let mut json = Json::new(
+        &[
+            "Topology zoo: the same barrier/allreduce workload over mesh,",
+            "torus, fat-tree, and dragonfly fabrics, software algorithms vs",
+            "the in-network combining stage, plus the adaptive-routing",
+            "ablation. Generated by `cargo run --release -p shrimp-bench",
+            "--bin artifacts -- topo --write`. All quantities are virtual-time",
+            "and deterministic: regenerating on any host must reproduce this",
+            "file byte-identically. CI's topo-smoke job re-runs the smoke",
+            "sweep and gates on smoke_digest.",
+        ],
+        &format!(
+            "\"barrier_rounds\": {BARRIER_ROUNDS}, \"allreduce_bytes\": \
+             {ALLREDUCE_BYTES}, \"allreduce_rounds\": {SWEEP_ROUNDS}, \"seed\": {SEED}"
+        ),
+    );
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "\"topo\": \"{}\", \"nodes\": {}, \"diameter\": {}, \"links\": {}, \
+                 \"sw_barrier_us\": {:.2}, \"hw_barrier_us\": {:.2}, \"barrier_speedup\": {:.2}, \
+                 \"sw_allreduce_us\": {:.2}, \"hw_allreduce_us\": {:.2}, \
+                 \"allreduce_speedup\": {:.2}",
+                p.topo,
+                p.nodes,
+                p.diameter,
+                p.links,
+                p.sw_barrier_us,
+                p.hw_barrier_us,
+                p.barrier_speedup(),
+                p.sw_allreduce_us,
+                p.hw_allreduce_us,
+                p.allreduce_speedup(),
+            )
+        })
+        .collect();
+    json.array("curve", &rows);
+    let rows: Vec<String> = ablation
+        .iter()
+        .map(|a| {
+            format!(
+                "\"topo\": \"{}\", \"mean_us\": {:.2}, \"max_us\": {:.2}, \
+                 \"reordered\": {}",
+                a.topo, a.mean_us, a.max_us, a.reordered,
+            )
+        })
+        .collect();
+    json.array("ablation", &rows);
+    json.finish(digests)
 }
 
-/// Extract a `"<field>": "<16 hex>"` digest from a committed
-/// `BENCH_topo.json`.
-pub fn committed_digest(json: &str, field: &str) -> Option<u64> {
-    let at = json.find(&format!("\"{field}\""))?;
-    let tail = &json[at..];
-    let q1 = tail.find(": \"")? + 3;
-    let hex = tail.get(q1..q1 + 16)?;
-    u64::from_str_radix(hex, 16).ok()
+/// The `topo` artifact. The full run sweeps 4, 16 and 64 nodes and
+/// also the smoke sizes, whose digest the JSON commits for CI; a smoke
+/// run sweeps only 4 and 16 nodes.
+pub fn artifact(smoke: bool) -> Output {
+    let points = run_zoo(smoke);
+    let ablation = adaptive_ablation(4, 4, 8);
+    let text = render_curve(&points, &ablation);
+    if smoke {
+        return Output {
+            text,
+            json: None,
+            digests: vec![("smoke_digest", topo_digest(&points, &ablation))],
+        };
+    }
+    let digests = vec![
+        ("smoke_digest", topo_digest(&run_zoo(true), &ablation)),
+        ("topo_digest", topo_digest(&points, &ablation)),
+    ];
+    Output {
+        text,
+        json: Some(render_json(&points, &ablation, &digests)),
+        digests,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::committed_digest;
 
     #[test]
     fn zoo_covers_four_fabrics_at_every_size() {
@@ -447,17 +455,16 @@ mod tests {
     }
 
     #[test]
-    fn digest_extraction_roundtrips() {
+    fn rendered_json_carries_every_digest() {
         let points = run_zoo(true);
         let abl = adaptive_ablation(4, 4, 8);
-        let json = render_json(&points, &abl, 0xdead_beef_dead_beef);
-        assert_eq!(
-            committed_digest(&json, "topo_digest"),
-            Some(topo_digest(&points, &abl))
-        );
-        assert_eq!(
-            committed_digest(&json, "smoke_digest"),
-            Some(0xdead_beef_dead_beef)
-        );
+        let digests = [
+            ("smoke_digest", 0xdead_beef_dead_beef),
+            ("topo_digest", topo_digest(&points, &abl)),
+        ];
+        let json = render_json(&points, &abl, &digests);
+        for (field, d) in digests {
+            assert_eq!(committed_digest(&json, field), Some(d), "{field}");
+        }
     }
 }

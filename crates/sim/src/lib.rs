@@ -14,6 +14,8 @@
 //! * [`BandwidthResource`] — FIFO-arbitrated buses and links;
 //! * [`WaitQueue`], [`Gate`], [`SimChannel`] — blocking synchronization;
 //! * [`SplitMix64`] — a deterministic PRNG for workload generators;
+//! * [`Fnv1a`] — the FNV-1a hash behind svc routing and every
+//!   committed replay digest;
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`],
 //!   [`StallWindows`], [`RetryPolicy`]) shared by every layer's chaos
 //!   hooks.
@@ -56,6 +58,7 @@
 
 mod buf;
 pub mod faults;
+mod hash;
 mod kernel;
 pub mod metrics;
 mod process;
@@ -68,6 +71,7 @@ pub use buf::SimBuf;
 pub use faults::{
     FaultEvent, FaultKind, FaultLog, FaultPlan, FaultSpec, RetryPolicy, StallWindows,
 };
+pub use hash::{fnv1a, Fnv1a};
 pub use kernel::{Kernel, ProcessId, SimError, TraceEvent, Tracer};
 pub use metrics::{MetricsGuard, MetricsRegistry, MetricsSnapshot};
 pub use process::{Ctx, SimHandle};

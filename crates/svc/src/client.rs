@@ -37,13 +37,13 @@ use std::sync::Arc;
 use shrimp_core::{ImportHandle, Vmmc};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, VAddr};
-use shrimp_sim::{Ctx, SimDur, SimTime, SplitMix64};
+use shrimp_sim::{fnv1a, Ctx, SimDur, SimTime, SplitMix64};
 use shrimp_srpc::{SrpcClient, Val};
 
 use crate::cluster::SvcCluster;
 use crate::read_through::{decode_slot, slot_of, SlotAnswer, SLOT_BYTES};
 use crate::store::{Applied, Op, MAX_KEY, MAX_VAL};
-use crate::{fnv1a, SvcError};
+use crate::SvcError;
 
 struct Conn {
     epoch: u32,

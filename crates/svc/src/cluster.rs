@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shrimp_core::{BufferName, ShrimpSystem};
-use shrimp_sim::{Ctx, SimChannel, SimDur, SimTime};
+use shrimp_sim::{Ctx, Fnv1a, SimChannel, SimDur, SimTime};
 use shrimp_srpc::{parse_interface, Interface, SrpcDirectory};
 
 use crate::read_through::RtRegion;
@@ -551,6 +551,30 @@ impl SvcCluster {
         Arc::clone(&self.states.lock()[shard].store)
     }
 
+    /// The zero-lost-acks audit: how many acknowledged mutations
+    /// `(shard, acked seq, op)` the authoritative stores no longer
+    /// reflect. A write is held when its key's entry is newer than the
+    /// acked sequence (a retry may have re-applied it later) or, at
+    /// exactly that sequence, holds the acked value (or tombstone).
+    pub fn lost_acks(&self, acked: &[(usize, u64, Op)]) -> u64 {
+        let mut lost = 0;
+        for (shard, seq, op) in acked {
+            let store = self.authoritative_store(*shard);
+            let guard = store.lock();
+            let (eseq, val) = guard.get(op.key());
+            let held = eseq > *seq
+                || (eseq == *seq
+                    && match op {
+                        Op::Put { val: v, .. } => val == Some(v.as_slice()),
+                        Op::Del { .. } => val.is_none(),
+                    });
+            if !held {
+                lost += 1;
+            }
+        }
+        lost
+    }
+
     /// The live backup replica's store, if the shard is currently
     /// replicated (for replication-equality checks).
     pub fn backup_store(&self, shard: usize) -> Option<Arc<Mutex<ShardStore>>> {
@@ -572,15 +596,11 @@ impl SvcCluster {
     /// FNV-1a digest across every shard's authoritative store — the
     /// cluster-state fingerprint benches commit.
     pub fn state_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::new();
         for s in 0..self.cfg.shards {
-            let d = self.authoritative_store(s).lock().digest();
-            for b in d.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
+            h.write_u64(self.authoritative_store(s).lock().digest());
         }
-        h
+        h.finish()
     }
 
     /// Announce `n` more client processes whose completion gates

@@ -52,6 +52,7 @@ pub use load::{spawn_engine, Arrival, LoadPlan, LoadStats, Outage, Request};
 pub use store::{Applied, Op, ShardStore, MAX_KEY, MAX_VAL};
 
 use shrimp_core::VmmcError;
+use shrimp_sim::fnv1a;
 use shrimp_srpc::SrpcError;
 
 /// Errors surfaced by the serving layer.
@@ -170,16 +171,6 @@ impl SvcError {
             SvcError::Rpc(_) => RetryClass::Terminal,
         }
     }
-}
-
-/// FNV-1a over a byte string — the routing hash.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Virtual points per shard on the consistent-hash ring — enough that

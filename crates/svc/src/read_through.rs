@@ -31,10 +31,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shrimp_core::{ExportOpts, Vmmc, VmmcError};
 use shrimp_node::{CacheMode, UserProc, VAddr};
-use shrimp_sim::{Ctx, RetryPolicy, SimHandle};
+use shrimp_sim::{fnv1a, Ctx, RetryPolicy, SimHandle};
 
 use crate::cluster::SvcCluster;
-use crate::fnv1a;
 use crate::store::{ShardStore, MAX_KEY, MAX_VAL};
 
 /// Slots per shard table. Collisions only cost a fallback RPC, so this

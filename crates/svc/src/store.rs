@@ -10,6 +10,8 @@
 
 use std::collections::HashMap;
 
+use shrimp_sim::Fnv1a;
+
 /// Maximum key length the wire format carries (fixed `opaque[32]`
 /// slot in the RPC interface).
 pub const MAX_KEY: usize = 32;
@@ -172,28 +174,22 @@ impl ShardStore {
     /// and the last sequence — a replay-stable fingerprint of the
     /// shard's state.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::new();
         for (k, seq, val) in self.entries() {
-            eat(&(k.len() as u32).to_le_bytes());
-            eat(&k);
-            eat(&seq.to_le_bytes());
+            h.write(&(k.len() as u32).to_le_bytes());
+            h.write(&k);
+            h.write_u64(seq);
             match val {
                 Some(v) => {
-                    eat(&[1]);
-                    eat(&(v.len() as u32).to_le_bytes());
-                    eat(&v);
+                    h.write(&[1]);
+                    h.write(&(v.len() as u32).to_le_bytes());
+                    h.write(&v);
                 }
-                None => eat(&[0]),
+                None => h.write(&[0]),
             }
         }
-        eat(&self.last_seq.to_le_bytes());
-        h
+        h.write_u64(self.last_seq);
+        h.finish()
     }
 }
 

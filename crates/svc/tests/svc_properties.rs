@@ -188,6 +188,32 @@ fn two_clients_match_reference_and_replicas_agree() {
     }
 }
 
+#[test]
+fn lost_acks_audit_counts_a_forged_put_the_store_does_not_hold() {
+    let out = run_cluster(11, 2, 24, &FaultPlan::empty(), SimDur::ZERO);
+    assert_eq!(out.cluster.lost_acks(&out.acked.concat()), 0);
+
+    // A live entry, acked at its own sequence: held with the value the
+    // store has, lost with any other value.
+    let (shard, key, seq, val) = (0..out.cluster.config().shards)
+        .find_map(|shard| {
+            let entries = out.cluster.authoritative_store(shard).lock().entries();
+            entries
+                .into_iter()
+                .find_map(|(key, seq, val)| val.map(|val| (shard, key, seq, val)))
+        })
+        .expect("the run must leave a live key");
+    let genuine = Op::Put {
+        key: key.clone(),
+        val: val.clone(),
+    };
+    assert_eq!(out.cluster.lost_acks(&[(shard, seq, genuine)]), 0);
+    let mut other = val;
+    other.push(b'!');
+    let forged = Op::Put { key, val: other };
+    assert_eq!(out.cluster.lost_acks(&[(shard, seq, forged)]), 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 

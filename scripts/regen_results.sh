@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
-# Regenerate every committed results/*.txt from its bench binary, so
-# figure outputs can be diffed against the tree after engine changes
-# (virtual results are deterministic: an engine-only change must leave
-# every file byte-identical; see DESIGN.md §5c).
+# Regenerate every committed results/*.txt and BENCH_*.json from its
+# bench binary, so outputs can be diffed against the tree after engine
+# changes (virtual results are deterministic: an engine-only change
+# must leave every file byte-identical; see DESIGN.md §5c).
 #
-# Usage: scripts/regen_results.sh [results-dir]   (default: results/)
+# Usage: scripts/regen_results.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-out="${1:-results}"
-mkdir -p "$out"
+out=results
 
 bins=(fig3 fig4 fig5 fig7 fig8 ttcp ablations scale)
 
@@ -29,32 +28,17 @@ target/release/simprof srpc > "$out/srpc_decomposition.txt"
 echo ">> rmc_decomposition"
 target/release/simprof rmc > "$out/rmc_decomposition.txt"
 
-# KV serving curve + failover measurement (shrimp-svc). Also rewrites
-# the committed BENCH_svc.json digest baseline that CI's svc-smoke job
-# gates on.
-echo ">> svcbench"
-target/release/svcbench --write-curve "$out/svc_curve.txt" --write-json BENCH_svc.json
-
-# Chaos-soaked SLO run (svcsoak): the full 4x4 soak plus the smoke
-# digest CI's svc-soak job gates on. The run itself asserts zero lost
-# acked writes, the p999 bound, and the bounded shed fraction.
-echo ">> svcsoak"
-target/release/svcsoak --write-report "$out/svc_soak.txt" --write-json BENCH_svcsoak.json
-
-# One-sided remote memory (shrimp-rmc): raw fetch latency/bandwidth,
-# the zero-copy svc get vs its SRPC baseline, and the disaggregated-
-# memory pager. Also rewrites the BENCH_rmc.json digest baseline CI's
-# rmc-smoke job gates on.
-echo ">> rmcbench"
-target/release/rmcbench --write-curve "$out/rmc_curve.txt" --write-json BENCH_rmc.json
-
-# Topology zoo (shrimp-fabric): software vs in-network collectives over
-# mesh/torus/fat-tree/dragonfly plus the adaptive-routing ablation.
-# Also rewrites the BENCH_topo.json digest baseline CI's topo-smoke job
-# gates on.
-echo ">> topobench"
-target/release/topobench --write-curve "$out/topo_curve.txt" --write-json BENCH_topo.json
+# The digest-gated studies (svc serving curve + failover, svc chaos
+# soak, one-sided remote memory, topology zoo): each writes its text
+# report under results/ and the BENCH_<name>.json its CI job gates on.
+# The runs assert their own contracts (zero lost acked writes, the
+# soak SLO, one-sided beating SRPC, hardware beating software).
+artifacts=$(target/release/artifacts --list)
+for a in $artifacts; do
+    echo ">> artifacts $a"
+    target/release/artifacts "$a" --write
+done
 
 echo
-echo "Regenerated: ${bins[*]/%/.txt} fig5_breakdown.txt srpc_decomposition.txt rmc_decomposition.txt svc_curve.txt BENCH_svc.json svc_soak.txt BENCH_svcsoak.json rmc_curve.txt BENCH_rmc.json topo_curve.txt BENCH_topo.json"
-echo "Diff against the committed tree with: git diff -- results/"
+echo "Regenerated: ${bins[*]/%/.txt} fig5_breakdown.txt srpc_decomposition.txt rmc_decomposition.txt" $artifacts
+echo "Diff against the committed tree with: git diff -- results/ BENCH_*.json"
