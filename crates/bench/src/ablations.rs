@@ -369,6 +369,61 @@ pub fn credit_batch_sweep() -> Vec<(usize, f64)> {
         .collect()
 }
 
+/// The ablation report: A1–A7 in order.
+pub fn report() -> String {
+    let mut out = String::from("== A1: combine-timeout sweep (1-word AU latency) ==\n");
+    for (timeout_us, latency_us) in combine_timeout_sweep() {
+        out.push_str(&format!(
+            "  hold window {timeout_us:>5.2} us  ->  one-way {latency_us:>6.2} us\n"
+        ));
+    }
+
+    out.push_str("\n== A2: write combining on/off (64 B as 16 word stores) ==\n");
+    for (combine, latency_us, packets, rx_bus_us) in combining_on_off() {
+        out.push_str(&format!(
+            "  combining {combine:<5}  latency {latency_us:>6.2} us  packets {packets:>3}  rx EISA busy {rx_bus_us:>5.2} us\n"
+        ));
+    }
+
+    out.push_str("\n== A3: deliberate-update word-alignment restriction (NX DU-1copy, 1 KB) ==\n");
+    let (aligned, unaligned) = alignment_fallback();
+    out.push_str(&format!("  aligned buffer   {aligned:>7.2} us one-way\n"));
+    out.push_str(&format!(
+        "  unaligned buffer {unaligned:>7.2} us one-way (marshal-copy fallback, §6)\n"
+    ));
+
+    out.push_str("\n== A4: optimistic safe copy (16 KB csend, receiver 2 ms late) ==\n");
+    let ((ob, ot), (bb, bt)) = optimistic_copy_on_off(16 * 1024);
+    out.push_str(&format!(
+        "  optimistic:     sender blocked {ob:>8.1} us, delivery complete {ot:>8.1} us\n"
+    ));
+    out.push_str(&format!(
+        "  no safe copy:   sender blocked {bb:>8.1} us, delivery complete {bt:>8.1} us\n"
+    ));
+
+    out.push_str("\n== A5: an interrupt per message vs polling (16 B transfers) ==\n");
+    let (polling, interrupts) = interrupt_per_message();
+    out.push_str(&format!(
+        "  polling protocol:        {polling:>7.2} us one-way\n"
+    ));
+    out.push_str(&format!(
+        "  notification per packet: {interrupts:>7.2} us one-way (signal delivery on the path)\n"
+    ));
+
+    out.push_str("\n== A6: zero-copy rendezvous vs chunked one-copy (3 KB NX message) ==\n");
+    for (allowed, latency_us) in zero_copy_on_off() {
+        out.push_str(&format!(
+            "  zero-copy {allowed:<5}  ->  {latency_us:>7.2} us one-way\n"
+        ));
+    }
+
+    out.push_str("\n== A7: credit-return batching (one-way 128 B stream) ==\n");
+    for (batch, rate) in credit_batch_sweep() {
+        out.push_str(&format!("  batch {batch:>2}  ->  {rate:>9.0} messages/s\n"));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,18 +1,19 @@
-//! Regenerate or check the digest-gated studies. See
+//! Regenerate or check every committed report. See
 //! `shrimp_bench::artifact` for the list and the committed files.
 //!
 //! Usage (from the repository root):
 //!   `cargo run --release -p shrimp-bench --bin artifacts -- <name> [--smoke] [--check] [--write]`
 //!   `cargo run --release -p shrimp-bench --bin artifacts -- --list`
 //!
-//! * `<name>`: run the study at its committed size and print its text
-//!   report and JSON;
-//! * `--smoke`: run the CI-sized configuration instead (text only);
+//! * `<name>`: run the entry at its committed size and print its text
+//!   report (and, for a digest-gated study, its JSON);
+//! * `--smoke`: run a digest-gated study's CI-sized configuration
+//!   instead (text only); a text-only entry has one size;
 //! * `--check`: exit 1 unless every digest the run produced matches
-//!   the committed JSON field of the same name and, on a full run, the
-//!   text report and the JSON match the committed files byte for byte;
+//!   the committed JSON field of the same name and the committed run's
+//!   text report (and JSON) match the committed files byte for byte;
 //! * `--write`: write the committed files instead of printing them;
-//! * `--list`: print the study names, one per line.
+//! * `--list`: print the entry names, one per line.
 
 use shrimp_bench::artifact::{check, find, ARTIFACTS};
 
@@ -48,12 +49,12 @@ fn main() {
         }
     }
     let Some(name) = name else {
-        usage_error("missing study name");
+        usage_error("missing artifact name");
     };
     let Some(art) = find(&name) else {
         let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
         usage_error(&format!(
-            "unknown study {name}; expected {}",
+            "unknown artifact {name}; expected {}",
             names.join("|")
         ));
     };
@@ -65,8 +66,14 @@ fn main() {
 
     let out = (art.run)(smoke);
     if write {
-        let json = out.json.as_deref().expect("a full run renders its JSON");
-        for (path, body) in [(art.text_path, out.text.as_str()), (art.json_path, json)] {
+        let mut files = vec![(art.text_path, out.text.as_str())];
+        if let Some(path) = art.json_path {
+            files.push((
+                path,
+                out.json.as_deref().expect("a full run renders its JSON"),
+            ));
+        }
+        for (path, body) in files {
             std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
             eprintln!("wrote {path}");
         }
@@ -79,12 +86,13 @@ fn main() {
     }
 
     if check_run {
-        let verdicts = check(&out, &read(art.json_path), &read(art.text_path));
+        let json = art.json_path.map(read);
+        let verdicts = check(&out, json.as_deref(), &read(art.text_path));
         for (line, ok) in &verdicts {
             eprintln!("check: {line} — {}", if *ok { "ok" } else { "FAIL" });
         }
-        if verdicts.iter().any(|(_, ok)| !ok) {
-            eprintln!("check: {name} diverged from {}", art.json_path);
+        if verdicts.is_empty() || verdicts.iter().any(|(_, ok)| !ok) {
+            eprintln!("check: {name} diverged from its committed files");
             std::process::exit(1);
         }
     }

@@ -30,9 +30,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shrimp_coll::{CollConfig, CollError, CollWorld};
-use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig, Vmmc, VmmcError};
+use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig, VmmcError};
 use shrimp_mesh::{Mesh2D, NodeId, TopologyRef};
-use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
+use shrimp_node::{CacheMode, PAGE_SIZE};
 use shrimp_nx::{NxConfig, NxError, NxWorld};
 use shrimp_rmc::{MemoryServer, RemotePager};
 use shrimp_sim::{
@@ -162,22 +162,6 @@ pub fn delay_budget(plan: &FaultPlan) -> SimDur {
     })
 }
 
-/// Export with bounded retry through daemon outages (exports have no
-/// built-in retry path; the chaos workloads must survive a crash landing
-/// mid-setup).
-fn export_retry(vmmc: &Vmmc, ctx: &Ctx, va: VAddr, len: usize, policy: RetryPolicy) -> BufferName {
-    for attempt in 0..policy.attempts {
-        match vmmc.export(ctx, va, len, ExportOpts::default()) {
-            Ok(name) => return name,
-            Err(VmmcError::DaemonUnavailable { .. }) if attempt + 1 < policy.attempts => {
-                ctx.advance(policy.timeout(attempt));
-            }
-            Err(e) => panic!("chaos export failed: {e}"),
-        }
-    }
-    panic!("chaos export exhausted its retry budget");
-}
-
 /// Run one cell: fresh prototype system, one plan, one workload.
 ///
 /// # Panics
@@ -296,7 +280,10 @@ fn vmmc_workload(
         kernel.spawn("chaos-ping", move |ctx| {
             let recv = ping.proc_().alloc(n, CacheMode::WriteBack);
             let user = ping.proc_().alloc(n, CacheMode::WriteBack);
-            let name = export_retry(&ping, ctx, recv, n, policy);
+            // A daemon crash may land mid-setup; export rides it out.
+            let name = ping
+                .export_retry(ctx, recv, n, ExportOpts::default(), policy)
+                .unwrap_or_else(|e| panic!("chaos export failed: {e}"));
             ping_names.send(&ctx.handle(), name);
             let peer_name = pong_names.recv(ctx);
             let peer = ping
@@ -324,7 +311,10 @@ fn vmmc_workload(
         kernel.spawn("chaos-pong", move |ctx| {
             let recv = pong.proc_().alloc(n, CacheMode::WriteBack);
             let user = pong.proc_().alloc(n, CacheMode::WriteBack);
-            let name = export_retry(&pong, ctx, recv, n, policy);
+            // A daemon crash may land mid-setup; export rides it out.
+            let name = pong
+                .export_retry(ctx, recv, n, ExportOpts::default(), policy)
+                .unwrap_or_else(|e| panic!("chaos export failed: {e}"));
             pong_names.send(&ctx.handle(), name);
             let peer_name = ping_names.recv(ctx);
             let peer = pong

@@ -1,14 +1,17 @@
 //! # shrimp-bench — harnesses regenerating the paper's evaluation
 //!
-//! One binary per figure (`fig3`, `fig4`, `fig5`, `fig7`, `fig8`,
-//! `ttcp`, `ablations`, `scale`), the fault-injection harness
-//! (`chaos`), the collective-communication scaling study
-//! (`collectives`), the virtual-time profiler (`simprof`), the
-//! host-cost harness (`simperf`), and `artifacts`, which regenerates
-//! and checks the four digest-gated studies (`svc`, `svcsoak`, `rmc`,
-//! `topo`; see [`artifact`]). This library holds the shared workloads
-//! and reporting. See DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results.
+//! `artifacts` regenerates and checks every committed report under
+//! `results/` from one list (see [`artifact`]): the paper's figures
+//! and text anchors (`fig3`, `fig4`, `fig5`, `fig7`, `fig8`, `ttcp`,
+//! `ablations`, `scale`), the virtual-time decompositions
+//! (`fig5_breakdown`, `srpc_decomposition`, `rmc_decomposition`), and
+//! the four digest-gated studies (`svc`, `svcsoak`, `rmc`, `topo`).
+//! The other binaries are the fault-injection harness (`chaos`), the
+//! collective-communication scaling study (`collectives`), the
+//! virtual-time profiler (`simprof`) and the host-cost harness
+//! (`simperf`). This library holds the shared workloads and reporting.
+//! See DESIGN.md §3 for the experiment index and EXPERIMENTS.md for
+//! paper-vs-measured results.
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

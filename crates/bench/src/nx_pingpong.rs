@@ -19,7 +19,8 @@ use shrimp_node::{CacheMode, CostModel};
 use shrimp_nx::{NxConfig, NxWorld, SendVariant};
 use shrimp_sim::{Kernel, SimTime};
 
-use crate::report::Point;
+use crate::pingpong::{vmmc_pingpong, Strategy};
+use crate::report::{render_figure, Point, Series, LATENCY_CUTOFF};
 
 /// The five NX protocol variants of Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,6 +144,38 @@ pub fn nx_pingpong(variant: NxVariant, size: usize, costs: CostModel) -> Point {
         latency_us: one_way_us,
         bandwidth_mbs: size.max(4) as f64 / one_way_us,
     }
+}
+
+/// The Figure 4 report: every NX variant over the paper's sizes, with
+/// the small-message overhead and zero-copy bandwidth anchors.
+pub fn fig4_report() -> String {
+    let all: Vec<Series> = NxVariant::all()
+        .into_iter()
+        .map(|v| {
+            Series::sweep(v.label(), |size| {
+                nx_pingpong(v, size, CostModel::shrimp_prototype())
+            })
+        })
+        .collect();
+    let mut out = render_figure("Figure 4: NX latency and bandwidth", &all, LATENCY_CUTOFF);
+    let hw = vmmc_pingpong(Strategy::Au1Copy, 8, false, CostModel::shrimp_prototype());
+    let nx = all[0].latency_at(8).expect("a paper size");
+    out.push_str(&format!(
+        "\nanchors: AU small-message overhead over hardware {:.2} us (paper: just over 6)\n",
+        nx - hw.latency_us
+    ));
+    let hw_bw = vmmc_pingpong(
+        Strategy::Du0Copy,
+        10240,
+        false,
+        CostModel::shrimp_prototype(),
+    );
+    out.push_str(&format!(
+        "         zero-copy 10 KB bandwidth {:.1} MB/s vs raw hardware {:.1} MB/s\n",
+        all[2].bandwidth_at(10240).expect("a paper size"),
+        hw_bw.bandwidth_mbs
+    ));
+    out
 }
 
 #[cfg(test)]

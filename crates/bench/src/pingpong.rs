@@ -23,7 +23,7 @@ use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, CostModel, VAddr};
 use shrimp_sim::{Ctx, Kernel, SimChannel, SimTime};
 
-use crate::report::Point;
+use crate::report::{render_figure, Point, Series, LATENCY_CUTOFF};
 
 /// The four base-layer transfer strategies of Figure 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,6 +261,40 @@ pub fn vmmc_pingpong(strategy: Strategy, size: usize, uncached: bool, costs: Cos
         latency_us: one_way_us,
         bandwidth_mbs: n as f64 / one_way_us, // bytes/us == MB/s
     }
+}
+
+/// The Figure 3 report: every strategy over the paper's sizes, the
+/// §3.4 one-word and peak-bandwidth anchors, and the caching-disabled
+/// AU case.
+pub fn fig3_report() -> String {
+    let all: Vec<Series> = Strategy::all()
+        .into_iter()
+        .map(|st| {
+            Series::sweep(st.label(), |size| {
+                vmmc_pingpong(st, size, false, CostModel::shrimp_prototype())
+            })
+        })
+        .collect();
+    let mut out = render_figure(
+        "Figure 3: VMMC base-layer latency and bandwidth",
+        &all,
+        LATENCY_CUTOFF,
+    );
+    let word_au = all[0].latency_at(4).expect("a paper size");
+    let word_du = all[2].latency_at(4).expect("a paper size");
+    out.push_str(&format!(
+        "\nanchors: AU 1-word {word_au:.2} us (paper 4.75), DU 1-word {word_du:.2} us (paper 7.6)\n"
+    ));
+    out.push_str(&format!(
+        "         DU-0copy peak {:.1} MB/s (paper ~23)\n",
+        all[2].peak_bandwidth()
+    ));
+    let uncached = vmmc_pingpong(Strategy::Au1Copy, 4, true, CostModel::shrimp_prototype());
+    out.push_str(&format!(
+        "         AU 1-word, caching disabled: {:.2} us (paper 3.7)\n",
+        uncached.latency_us
+    ));
+    out
 }
 
 #[cfg(test)]

@@ -22,11 +22,11 @@ pub struct Series {
 }
 
 impl Series {
-    /// Create an empty series.
-    pub fn new(label: impl Into<String>) -> Series {
+    /// Measure one point per [`paper_sizes`] entry.
+    pub fn sweep(label: impl Into<String>, point: impl FnMut(usize) -> Point) -> Series {
         Series {
             label: label.into(),
-            points: Vec::new(),
+            points: paper_sizes().into_iter().map(point).collect(),
         }
     }
 

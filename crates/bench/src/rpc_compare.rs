@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_node::CostModel;
-use shrimp_sim::{Kernel, SimTime};
+use shrimp_sim::{FaultLog, FaultPlan, Kernel, SimTime};
 use shrimp_srpc::{parse_interface, SrpcClient, SrpcDirectory, SrpcServer, Val};
 
 use crate::report::Point;
@@ -24,17 +24,26 @@ pub fn compatible_roundtrip(size: usize, costs: CostModel) -> Point {
 }
 
 /// Round-trip time of the specialized SHRIMP RPC for an INOUT argument
-/// of `size` bytes. With `breakdown`, also returns the software-only
-/// share of the round trip (paper §5: "software overhead ... under
-/// 1 µsec"), measured by re-running with all transfer hardware made
-/// instantaneous.
+/// of `size` bytes.
 pub fn specialized_roundtrip(size: usize, costs: CostModel) -> Point {
+    specialized_run(size, costs, None).0
+}
+
+/// [`specialized_roundtrip`], optionally under a fault plan (the
+/// `simprof` workloads): also returns the plan's fault log. Only a
+/// fault-free run must be free of protection violations.
+pub(crate) fn specialized_run(
+    size: usize,
+    costs: CostModel,
+    faults: Option<&FaultPlan>,
+) -> (Point, Option<Arc<FaultLog>>) {
     let size = size.max(4);
     let idl = format!("interface Null {{ ping(inout data: opaque[{size}]); }}");
     let kernel = Kernel::new();
     let mut config = SystemConfig::prototype();
     config.costs = costs;
     let system = ShrimpSystem::build(&kernel, config);
+    let log = faults.map(|plan| system.apply_faults(plan));
     let dir = SrpcDirectory::new();
     let iface = parse_interface(&idl).expect("well-formed idl");
     let result: Arc<Mutex<Option<(SimTime, SimTime)>>> = Arc::new(Mutex::new(None));
@@ -80,14 +89,15 @@ pub fn specialized_roundtrip(size: usize, costs: CostModel) -> Point {
     kernel
         .run_until_quiescent()
         .expect("specialized RPC bench failed");
-    assert!(system.violations().is_empty());
+    assert!(log.is_some() || system.violations().is_empty());
     let (t0, t1) = result.lock().expect("client never finished");
     let rtt_us = (t1 - t0).as_us() / ROUNDS as f64;
-    Point {
+    let point = Point {
         size,
         latency_us: rtt_us,
         bandwidth_mbs: (2 * size) as f64 / rtt_us,
-    }
+    };
+    (point, log)
 }
 
 /// §5's software-overhead claim: re-run the null call with every
@@ -120,6 +130,40 @@ pub fn specialized_software_overhead() -> f64 {
     costs.copy_bytes_per_sec_wt = 1e15;
     costs.copy_bytes_per_sec_uc = 1e15;
     specialized_roundtrip(4, costs).latency_us
+}
+
+/// The Figure 8 report: compatible against non-compatible round trips
+/// over the paper's argument sizes, with the null-call and 1000-byte
+/// ratio anchors.
+pub fn fig8_report() -> String {
+    let sizes = [4, 50, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000];
+    let mut out =
+        String::from("== Figure 8: null RPC round-trip time, single INOUT argument ==\n\n");
+    out.push_str(&format!(
+        "{:<12}{:>18}{:>18}{:>10}\n",
+        "bytes", "compatible us", "non-compatible us", "ratio"
+    ));
+    let mut first = None;
+    let mut last = 0.0;
+    for size in sizes {
+        let c = compatible_roundtrip(size, CostModel::shrimp_prototype());
+        let s = specialized_roundtrip(size, CostModel::shrimp_prototype());
+        last = c.latency_us / s.latency_us;
+        out.push_str(&format!(
+            "{:<12}{:>18.2}{:>18.2}{:>10.2}\n",
+            size, c.latency_us, s.latency_us, last
+        ));
+        first.get_or_insert((c.latency_us, s.latency_us));
+    }
+    let (c0, s0) = first.expect("at least one size");
+    out.push_str(&format!(
+        "\nanchors: null call {s0:.1} us non-compatible vs {c0:.1} us compatible \
+         (paper: 9.5 vs 29, more than a factor of three)\n"
+    ));
+    out.push_str(&format!(
+        "         ratio at 1000 B: {last:.2} (paper: roughly a factor of two)\n"
+    ));
+    out
 }
 
 #[cfg(test)]

@@ -122,6 +122,40 @@ pub fn ring_aggregate_bandwidth(width: usize, height: usize, bytes: usize) -> f6
     (n * bytes) as f64 / dt_us
 }
 
+/// The scaling report: the 4-node prototype against the planned
+/// 16-node machine on barrier, broadcast and ring bandwidth.
+pub fn report() -> String {
+    let mut out = String::from("== scaling: 4-node prototype vs planned 16-node machine ==\n\n");
+    out.push_str(&format!(
+        "{:<26}{:>12}{:>12}\n",
+        "metric", "2x2 (4n)", "4x4 (16n)"
+    ));
+    out.push_str(&format!(
+        "{:<26}{:>12.1}{:>12.1}\n",
+        "gsync barrier (us)",
+        barrier_latency(2, 2, 4),
+        barrier_latency(4, 4, 4)
+    ));
+    for (label, tree) in [
+        ("tree bcast 2KB (us)", true),
+        ("naive bcast 2KB (us)", false),
+    ] {
+        out.push_str(&format!(
+            "{:<26}{:>12.1}{:>12.1}\n",
+            label,
+            bcast_completion(2, 2, 2048, tree),
+            bcast_completion(4, 4, 2048, tree)
+        ));
+    }
+    out.push_str(&format!(
+        "{:<26}{:>12.0}{:>12.0}\n",
+        "ring aggregate (MB/s)",
+        ring_aggregate_bandwidth(2, 2, 10240),
+        ring_aggregate_bandwidth(4, 4, 10240)
+    ));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,20 +26,17 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use shrimp_core::{ShrimpSystem, SystemConfig};
+use shrimp_node::CostModel;
 use shrimp_obs::breakdown::{layer_stats, message_ids};
 use shrimp_obs::{breakdown, perfetto, Layer, Recorder, SpanRec};
-use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Kernel, SimDur, SimTime};
-use shrimp_srpc::{parse_interface, SrpcClient, SrpcDirectory, SrpcServer, Val};
-use shrimp_sunrpc::{AcceptStat, RpcDirectory, StreamVariant, VrpcClient, VrpcServer};
+use shrimp_sim::{FaultEvent, FaultKind, FaultLog, FaultPlan, Kernel, SimDur, SimTime};
 
 use crate::chaos::{run_cell_events, Workload};
-use crate::rpc_compare::specialized_software_overhead;
+use crate::rpc_compare::{specialized_run, specialized_software_overhead};
 use crate::simperf::{no_alloc_counter, workload_coll4x4, workload_fig3, workload_fig7};
+use crate::vrpc_bench::{vrpc_run, VrpcVariant};
 
-const PROG: u32 = 0x2000_0001;
-const VERS: u32 = 1;
 const WARMUP: u32 = 2;
 const ROUNDS: u32 = 8;
 
@@ -364,6 +361,22 @@ pub fn profile(name: &str, chaos: bool) -> Option<ProfOutcome> {
     })
 }
 
+/// The committed decomposition report for `workload`: the `simprof`
+/// header line plus the profile's report.
+///
+/// # Panics
+///
+/// Panics on an unknown workload, or when a conservation check fails,
+/// so a breach can never be committed or pass a check.
+pub fn decomposition(workload: &str) -> String {
+    let out = profile(workload, false).expect("a simprof workload");
+    assert!(
+        out.conserved,
+        "simprof {workload}: conservation check failed"
+    );
+    format!("simprof {}\n{}", out.name, out.report)
+}
+
 /// Drive a chaos-matrix cell with the recorder installed, then overlay
 /// its fault log as instant events.
 fn run_chaos_cell(rec: &Arc<Recorder>, workload: Workload) {
@@ -451,112 +464,22 @@ fn run_rmc_fetch(rec: &Arc<Recorder>) -> String {
 /// fastest compatible variant), optionally under a fault plan.
 fn run_vrpc_null(rec: &Arc<Recorder>, plan: Option<&FaultPlan>) {
     let _g = rec.install();
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let log = plan.map(|p| system.apply_faults(p));
-    let dir = RpcDirectory::new();
-    {
-        let vmmc = system.endpoint(1, "prof-server");
-        let dir = Arc::clone(&dir);
-        kernel.spawn("prof-server", move |ctx| {
-            let mut server = VrpcServer::new(vmmc, PROG, VERS);
-            server.register(
-                1,
-                Box::new(|_ctx, args, out| {
-                    let Ok(data) = args.get_opaque() else {
-                        return AcceptStat::GarbageArgs;
-                    };
-                    out.put_opaque(data);
-                    AcceptStat::Success
-                }),
-            );
-            let mut conn = server.accept(ctx, &dir).unwrap();
-            server.serve(ctx, &mut conn).unwrap();
-        });
-    }
-    {
-        let vmmc = system.endpoint(0, "prof-client");
-        let dir = Arc::clone(&dir);
-        kernel.spawn("prof-client", move |ctx| {
-            let mut client =
-                VrpcClient::bind(vmmc, ctx, &dir, PROG, VERS, StreamVariant::AutomaticUpdate)
-                    .unwrap();
-            let arg = [0x7Eu8; 4];
-            for _ in 0..WARMUP + ROUNDS {
-                let r = client
-                    .call(
-                        ctx,
-                        1,
-                        |e| e.put_opaque(&arg),
-                        |d| Ok(d.get_opaque()?.to_vec()),
-                    )
-                    .unwrap();
-                assert_eq!(r.len(), 4);
-            }
-            client.close(ctx).unwrap();
-        });
-    }
-    kernel
-        .run_until_quiescent()
-        .expect("fig5 profile run failed");
-    if let Some(log) = log {
-        for (at, what) in log.snapshot() {
-            rec.instant(at, None, what);
-        }
-    }
+    let (_, log) = vrpc_run(VrpcVariant::Au1Copy, 4, CostModel::shrimp_prototype(), plan);
+    overlay_faults(rec, log);
 }
 
 /// The §5 workload under observation: the specialized RPC's null call
 /// with a 4-byte INOUT argument, optionally under a fault plan.
 fn run_srpc_null(rec: &Arc<Recorder>, plan: Option<&FaultPlan>) {
     let _g = rec.install();
-    let idl = "interface Null { ping(inout data: opaque[4]); }";
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let log = plan.map(|p| system.apply_faults(p));
-    let dir = SrpcDirectory::new();
-    let iface = parse_interface(idl).expect("well-formed idl");
-    let done: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
-    {
-        let vmmc = system.endpoint(1, "prof-server");
-        let dir = Arc::clone(&dir);
-        let iface = iface.clone();
-        kernel.spawn("prof-server", move |ctx| {
-            let mut server = SrpcServer::new(vmmc, &iface);
-            server.register(
-                "ping",
-                Box::new(|ctx, ins, out| {
-                    out.set(ctx, "data", &ins[0].clone()).unwrap();
-                }),
-            );
-            let mut conn = server.accept(ctx, &dir, "null").unwrap();
-            server.serve(ctx, &mut conn).unwrap();
-        });
-    }
-    {
-        let vmmc = system.endpoint(0, "prof-client");
-        let dir = Arc::clone(&dir);
-        let done = Arc::clone(&done);
-        kernel.spawn("prof-client", move |ctx| {
-            let mut client = SrpcClient::bind(vmmc, ctx, &dir, "null", &iface).unwrap();
-            let arg = Val::Bytes(vec![0x55; 4]);
-            for _ in 0..WARMUP + ROUNDS {
-                client
-                    .call(ctx, "ping", std::slice::from_ref(&arg))
-                    .unwrap();
-            }
-            client.close(ctx).unwrap();
-            *done.lock() = true;
-        });
-    }
-    kernel
-        .run_until_quiescent()
-        .expect("srpc profile run failed");
-    assert!(*done.lock(), "client never finished");
-    if let Some(log) = log {
-        for (at, what) in log.snapshot() {
-            rec.instant(at, None, what);
-        }
+    let (_, log) = specialized_run(4, CostModel::shrimp_prototype(), plan);
+    overlay_faults(rec, log);
+}
+
+/// Overlay a run's fault log on the trace as instant events.
+fn overlay_faults(rec: &Arc<Recorder>, log: Option<Arc<FaultLog>>) {
+    for (at, what) in log.iter().flat_map(|log| log.snapshot()) {
+        rec.instant(at, None, what);
     }
 }
 

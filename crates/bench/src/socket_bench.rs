@@ -10,7 +10,8 @@ use shrimp_node::CostModel;
 use shrimp_sim::{Kernel, SimDur, SimTime};
 use shrimp_sockets::{connect, listen, SocketVariant};
 
-use crate::report::Point;
+use crate::pingpong::{vmmc_pingpong, Strategy};
+use crate::report::{render_figure, Point, Series, LATENCY_CUTOFF};
 
 const WARMUP: u32 = 2;
 const ROUNDS: u32 = 8;
@@ -154,6 +155,70 @@ pub fn one_way_pump(
 pub fn ttcp_write_overhead(size: usize) -> SimDur {
     // Dominated by ttcp regenerating its source pattern per write.
     SimDur::from_ns(10.0 * size as f64 + 26_000.0)
+}
+
+/// The Figure 7 report: every socket variant over the paper's sizes,
+/// with the small-message overhead and one-copy bandwidth anchors.
+pub fn fig7_report() -> String {
+    let all: Vec<Series> = socket_variants()
+        .into_iter()
+        .map(|v| {
+            Series::sweep(variant_label(v), |size| {
+                socket_pingpong(v, size, CostModel::shrimp_prototype())
+            })
+        })
+        .collect();
+    let mut out = render_figure(
+        "Figure 7: socket latency and bandwidth",
+        &all,
+        LATENCY_CUTOFF,
+    );
+    let hw = vmmc_pingpong(Strategy::Au2Copy, 16, false, CostModel::shrimp_prototype());
+    out.push_str(&format!(
+        "\nanchors: small-message overhead over hardware {:.1} us (paper: ~13, split evenly)\n",
+        all[0].latency_at(16).expect("a paper size") - hw.latency_us
+    ));
+    let hw1 = vmmc_pingpong(
+        Strategy::Du1Copy,
+        10240,
+        false,
+        CostModel::shrimp_prototype(),
+    );
+    out.push_str(&format!(
+        "         10 KB DU-1copy {:.1} MB/s vs raw one-copy limit {:.1} MB/s\n",
+        all[1].bandwidth_at(10240).expect("a paper size"),
+        hw1.bandwidth_mbs
+    ));
+    out
+}
+
+/// The §4.3 ttcp report: one-way DU-1copy throughput of the ttcp
+/// benchmark (with its own per-write overhead) against the library's
+/// microbenchmark.
+pub fn ttcp_report() -> String {
+    let mut out = String::from("== ttcp one-way throughput (paper §4.3) ==\n\n");
+    out.push_str(&format!(
+        "{:<14}{:>16}{:>20}\n",
+        "msg bytes", "ttcp MB/s", "microbench MB/s"
+    ));
+    for &size in &[70usize, 512, 1024, 4096, 7168, 8192] {
+        let count = (200_000 / size).clamp(10, 300);
+        let pump = |overhead| {
+            one_way_pump(
+                SocketVariant::Du1Copy,
+                size,
+                count,
+                overhead,
+                CostModel::shrimp_prototype(),
+            )
+        };
+        let ttcp = pump(ttcp_write_overhead(size));
+        let lib = pump(SimDur::ZERO);
+        out.push_str(&format!("{size:<14}{ttcp:>16.2}{lib:>20.2}\n"));
+    }
+    out.push_str("\npaper anchors: ttcp 8.6 MB/s and microbenchmark 9.8 MB/s at 7 KB;\n");
+    out.push_str("               ttcp 1.3 MB/s at 70 B (already above Ethernet's peak).\n");
+    out
 }
 
 #[cfg(test)]

@@ -185,34 +185,38 @@ pub struct FailoverOutcome {
     pub hist_digest: u64,
 }
 
-/// Spawn one engine per node and run the cluster to quiescence,
-/// returning the merged stats (and the cluster for post-run checks).
-fn drive(
-    cfg: &SweepConfig,
+/// Build a system over `topology`, spawn the chained cluster (`tune`
+/// adjusts its config) and `engines` load engines spread evenly over
+/// the enumerated nodes (one per node when `engines` is the node
+/// count), run to quiescence, and return the merged stats plus the
+/// cluster for post-run checks. A run under `faults` also logs acked
+/// writes for the lost-ack audit.
+pub(crate) fn drive(
+    topology: &TopologyRef,
+    engines: usize,
+    tune: impl FnOnce(&mut SvcConfig),
     plan: &LoadPlan,
-    faults: &FaultPlan,
-    track_acks: bool,
+    faults: Option<&FaultPlan>,
 ) -> (LoadStats, Arc<SvcCluster>) {
     let kernel = Kernel::new();
-    let system = ShrimpSystem::build(
-        &kernel,
-        SystemConfig::with_topology(Arc::clone(&cfg.topology)),
-    );
-    system.apply_faults(faults);
+    let system = ShrimpSystem::build(&kernel, SystemConfig::with_topology(Arc::clone(topology)));
+    system.apply_faults(faults.unwrap_or(&FaultPlan::empty()));
     let nodes = system.len();
     let mut scfg = SvcConfig::chained(nodes);
-    // One engine (= one client binding) per node, plus slack for
-    // re-binds abandoned mid-establishment during failover.
+    // One client binding per node, plus slack for binds abandoned
+    // mid-establishment across failover and epoch bumps.
     scfg.conns_per_shard = nodes + 4;
+    tune(&mut scfg);
     let cluster = SvcCluster::spawn(&system, scfg);
-    let slots: Vec<Arc<Mutex<Option<LoadStats>>>> = system
-        .topology()
-        .nodes()
-        .map(|node| spawn_engine(&cluster, node.0, node.0 as u64, plan, track_acks))
+    let all: Vec<usize> = system.topology().nodes().map(|n| n.0).collect();
+    let step = (all.len() / engines.max(1)).max(1);
+    let slots: Vec<Arc<Mutex<Option<LoadStats>>>> = (0..engines)
+        .map(|e| {
+            let home = all[(e * step) % all.len()];
+            spawn_engine(&cluster, home, e as u64, plan, faults.is_some())
+        })
         .collect();
-    kernel
-        .run_until_quiescent()
-        .expect("svcbench cell must quiesce");
+    kernel.run_until_quiescent().expect("svc cell must quiesce");
     let mut merged = LoadStats::default();
     for slot in &slots {
         let stats = slot.lock();
@@ -226,7 +230,7 @@ pub fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
     let mut plan = LoadPlan::new(cfg.seed, cfg.requests, rate);
     plan.start = cfg.warmup;
     let start_ps = plan.start.as_ps();
-    let (stats, _cluster) = drive(cfg, &plan, &FaultPlan::empty(), false);
+    let (stats, _cluster) = drive(&cfg.topology, cfg.engines(), |_| {}, &plan, None);
     assert_eq!(stats.errors, 0, "fault-free sweep must not error");
     let span_ps = stats
         .done_at
@@ -266,7 +270,7 @@ pub fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
 pub fn run_failover(cfg: &SweepConfig) -> FailoverOutcome {
     let mut plan = LoadPlan::new(cfg.seed, cfg.failover_requests, cfg.failover_rate);
     plan.start = cfg.warmup;
-    let (baseline, _) = drive(cfg, &plan, &FaultPlan::empty(), false);
+    let (baseline, _) = drive(&cfg.topology, cfg.engines(), |_| {}, &plan, None);
     assert_eq!(baseline.errors, 0, "fault-free baseline must not error");
     let faults = FaultPlan::scripted(vec![FaultEvent {
         at: SimTime::ZERO + cfg.crash_at,
@@ -275,7 +279,7 @@ pub fn run_failover(cfg: &SweepConfig) -> FailoverOutcome {
             downtime: cfg.downtime,
         },
     }]);
-    let (stats, cluster) = drive(cfg, &plan, &faults, true);
+    let (stats, cluster) = drive(&cfg.topology, cfg.engines(), |_| {}, &plan, Some(&faults));
 
     let promotions = cluster.promotions();
     assert!(

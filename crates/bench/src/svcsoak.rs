@@ -25,14 +25,13 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_mesh::{Mesh2D, TopologyRef};
 use shrimp_obs::{Layer, Recorder};
-use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Fnv1a, Kernel, SimDur, SimTime};
-use shrimp_svc::{spawn_engine, ClusterEvent, LoadPlan, LoadStats, SvcCluster, SvcConfig};
+use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Fnv1a, SimDur, SimTime};
+use shrimp_svc::{ClusterEvent, LoadPlan, LoadStats, SvcCluster, SvcConfig};
 
 use crate::artifact::{Json, Output};
+use crate::svcbench;
 
 /// Soak shape: mesh, engines, load mix, the fault matrix, and the SLO
 /// the soaked run must hold.
@@ -335,49 +334,21 @@ pub fn soak_digest(o: &SoakOutcome) -> u64 {
     h.finish()
 }
 
-/// Build a mesh, spawn the cluster and `cfg.engines` load engines
-/// (spread evenly across the nodes), run to quiescence under an obs
-/// recorder, and return the merged stats plus the cluster and the
+/// [`svcbench::drive`] with the soak's hedged reads, under an obs
+/// recorder: returns the merged stats, the cluster, and the
 /// service-layer span count.
 fn drive(
     cfg: &SoakConfig,
     plan: &LoadPlan,
-    faults: &FaultPlan,
-    track_acks: bool,
+    faults: Option<&FaultPlan>,
 ) -> (LoadStats, Arc<SvcCluster>, u64) {
     let rec = Recorder::new();
     let _guard = rec.install();
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(
-        &kernel,
-        SystemConfig::with_topology(Arc::clone(&cfg.topology)),
-    );
-    system.apply_faults(faults);
-    let nodes = system.len();
-    let mut scfg = SvcConfig::chained(nodes);
-    // Slack for binds abandoned mid-establishment across epoch bumps
-    // (each migration and promotion forces every engine to re-bind).
-    scfg.conns_per_shard = nodes + 4;
-    scfg.hedge_reads = true;
-    scfg.hedge_after = cfg.hedge_after;
-    let cluster = SvcCluster::spawn(&system, scfg);
-    // Engines spread evenly over the fabric's enumerated node list.
-    let all: Vec<usize> = system.topology().nodes().map(|n| n.0).collect();
-    let step = (all.len() / cfg.engines.max(1)).max(1);
-    let slots: Vec<Arc<Mutex<Option<LoadStats>>>> = (0..cfg.engines)
-        .map(|e| {
-            let home = all[(e * step) % all.len()];
-            spawn_engine(&cluster, home, e as u64, plan, track_acks)
-        })
-        .collect();
-    kernel
-        .run_until_quiescent()
-        .expect("soak cell must quiesce");
-    let mut merged = LoadStats::default();
-    for slot in &slots {
-        let stats = slot.lock();
-        merged.merge(stats.as_ref().expect("engine must finish"));
-    }
+    let hedge = |scfg: &mut SvcConfig| {
+        scfg.hedge_reads = true;
+        scfg.hedge_after = cfg.hedge_after;
+    };
+    let (merged, cluster) = svcbench::drive(&cfg.topology, cfg.engines, hedge, plan, faults);
     let service_spans = rec
         .spans()
         .iter()
@@ -407,10 +378,10 @@ fn load_plan(cfg: &SoakConfig) -> LoadPlan {
 /// `cfg.max_shed_fraction`.
 pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     let plan = load_plan(cfg);
-    let (base, _, base_spans) = drive(cfg, &plan, &FaultPlan::empty(), false);
+    let (base, _, base_spans) = drive(cfg, &plan, None);
     assert_eq!(base.errors, 0, "fault-free soak baseline must not error");
 
-    let (stats, cluster, spans) = drive(cfg, &plan, &cfg.fault_plan(), true);
+    let (stats, cluster, spans) = drive(cfg, &plan, Some(&cfg.fault_plan()));
 
     // Zero lost acknowledged writes across the brownout, the crash
     // promotion, the re-replications, and every live migration.

@@ -6,10 +6,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_node::CostModel;
-use shrimp_sim::{Kernel, SimTime};
+use shrimp_sim::{FaultLog, FaultPlan, Kernel, SimTime};
 use shrimp_sunrpc::{AcceptStat, RpcDirectory, StreamVariant, VrpcClient, VrpcServer};
 
-use crate::report::Point;
+use crate::report::{render_figure, Point, Series, LATENCY_CUTOFF};
 
 const PROG: u32 = 0x2000_0001;
 const VERS: u32 = 1;
@@ -52,10 +52,23 @@ impl VrpcVariant {
 /// reported latency is the **round-trip** time (as in the paper's
 /// Figure 5); bandwidth counts argument plus result bytes.
 pub fn vrpc_roundtrip(variant: VrpcVariant, size: usize, costs: CostModel) -> Point {
+    vrpc_run(variant, size, costs, None).0
+}
+
+/// [`vrpc_roundtrip`], optionally under a fault plan (the `simprof`
+/// workloads): also returns the plan's fault log. Only a fault-free run
+/// must be free of protection violations.
+pub(crate) fn vrpc_run(
+    variant: VrpcVariant,
+    size: usize,
+    costs: CostModel,
+    faults: Option<&FaultPlan>,
+) -> (Point, Option<Arc<FaultLog>>) {
     let kernel = Kernel::new();
     let mut config = SystemConfig::prototype();
     config.costs = costs;
     let system = ShrimpSystem::build(&kernel, config);
+    let log = faults.map(|plan| system.apply_faults(plan));
     let dir = RpcDirectory::new();
     let result: Arc<Mutex<Option<(SimTime, SimTime)>>> = Arc::new(Mutex::new(None));
 
@@ -115,14 +128,39 @@ pub fn vrpc_roundtrip(variant: VrpcVariant, size: usize, costs: CostModel) -> Po
         });
     }
     kernel.run_until_quiescent().expect("VRPC bench failed");
-    assert!(system.violations().is_empty());
+    assert!(log.is_some() || system.violations().is_empty());
     let (t0, t1) = result.lock().expect("client never finished");
     let rtt_us = (t1 - t0).as_us() / ROUNDS as f64;
-    Point {
+    let point = Point {
         size,
         latency_us: rtt_us,
         bandwidth_mbs: (2 * size) as f64 / rtt_us,
-    }
+    };
+    (point, log)
+}
+
+/// The Figure 5 report: both VRPC variants over the paper's sizes, with
+/// the null-call anchor.
+pub fn fig5_report() -> String {
+    let all: Vec<Series> = VrpcVariant::all()
+        .into_iter()
+        .map(|v| {
+            Series::sweep(v.label(), |size| {
+                vrpc_roundtrip(v, size, CostModel::shrimp_prototype())
+            })
+        })
+        .collect();
+    let mut out = render_figure(
+        "Figure 5: VRPC round-trip latency and bandwidth (single INOUT opaque argument)",
+        &all,
+        LATENCY_CUTOFF,
+    );
+    out.push_str(&format!(
+        "\nanchors: null RPC round trip {:.1} us AU / {:.1} us DU (paper: ~29 us)\n",
+        all[1].latency_at(4).expect("a paper size"),
+        all[0].latency_at(4).expect("a paper size")
+    ));
+    out
 }
 
 #[cfg(test)]

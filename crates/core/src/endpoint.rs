@@ -293,7 +293,51 @@ impl Vmmc {
         ctx: &Ctx,
         va: VAddr,
         len: usize,
-        opts: ExportOpts,
+        mut opts: ExportOpts,
+    ) -> Result<BufferName, VmmcError> {
+        self.export_once(ctx, va, len, &mut opts)
+    }
+
+    /// Like [`Vmmc::export`], but rides out daemon outages: on
+    /// [`VmmcError::DaemonUnavailable`] the call backs off (exponentially,
+    /// per `policy`) and retries until the daemon answers or the policy's
+    /// attempts are exhausted. Other errors surface immediately.
+    ///
+    /// # Errors
+    ///
+    /// [`VmmcError::Timeout`] once every attempt found the daemon down;
+    /// otherwise as for [`Vmmc::export`].
+    pub fn export_retry(
+        &self,
+        ctx: &Ctx,
+        va: VAddr,
+        len: usize,
+        mut opts: ExportOpts,
+        policy: shrimp_sim::RetryPolicy,
+    ) -> Result<BufferName, VmmcError> {
+        for attempt in 0..policy.attempts {
+            match self.export_once(ctx, va, len, &mut opts) {
+                Err(VmmcError::DaemonUnavailable { .. }) => {
+                    ctx.advance(policy.timeout(attempt));
+                }
+                other => return other,
+            }
+        }
+        Err(VmmcError::Timeout {
+            op: "export",
+            waited: policy.total_budget(),
+        })
+    }
+
+    /// One export attempt. The handler is taken out of `opts` only once
+    /// the daemon has registered the buffer, so a refused attempt can be
+    /// retried with the same options.
+    fn export_once(
+        &self,
+        ctx: &Ctx,
+        va: VAddr,
+        len: usize,
+        opts: &mut ExportOpts,
     ) -> Result<BufferName, VmmcError> {
         ctx.advance(self.proc_.node().costs().os_export);
         let chunks = self.proc_.aspace().translate_range(va, len, true)?;
@@ -304,7 +348,7 @@ impl Vmmc {
             ppages: Arc::clone(&ppages),
             first_offset: va.offset(),
             len,
-            perms: opts.perms,
+            perms: opts.perms.clone(),
             read: opts.read,
         };
         let name = self
@@ -320,7 +364,7 @@ impl Vmmc {
             for &p in ppages.iter() {
                 st.ppage_to_buffer.insert(p, name);
             }
-            if let Some(h) = opts.handler {
+            if let Some(h) = opts.handler.take() {
                 st.handlers.insert(name, h);
             }
         }

@@ -80,8 +80,9 @@ fn injected_ipt_violation_recovers_via_freeze_interrupt() {
 }
 
 /// A daemon crash mid-run: imports fail typed during the outage, the
-/// bootstrap retry policy rides it out, and restart re-validates the
-/// export so traffic then flows normally.
+/// bootstrap retry policy rides it out (for an import and for an export
+/// on the crashed node), and restart re-validates the export so traffic
+/// then flows normally.
 #[test]
 fn daemon_crash_outage_is_survived_by_import_retry() {
     let (kernel, system) = prototype();
@@ -124,6 +125,30 @@ fn daemon_crash_outage_is_survived_by_import_retry() {
             *g.lock() = probe.import(ctx, NodeId(1), name).err();
         });
     }
+    // An export on the crashed node, started inside the outage, succeeds
+    // once the daemon restarts, with its notification handler intact.
+    let late_names: SimChannel<BufferName> = SimChannel::new();
+    let late_done = Arc::new(Mutex::new(None));
+    let notified = Arc::new(Mutex::new(false));
+    {
+        let (late_names, late_done) = (late_names.clone(), Arc::clone(&late_done));
+        let n = Arc::clone(&notified);
+        let exporter = system.endpoint(1, "late");
+        kernel.spawn("late", move |ctx| {
+            ctx.advance(SimDur::from_us(200.0));
+            let buf = exporter.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
+            let opts = ExportOpts {
+                handler: Some(Box::new(move |_ctx, _ev| *n.lock() = true)),
+                ..Default::default()
+            };
+            let name = exporter
+                .export_retry(ctx, buf, PAGE_SIZE, opts, RetryPolicy::bootstrap())
+                .unwrap();
+            *late_done.lock() = Some(ctx.now());
+            late_names.send(&ctx.handle(), name);
+            exporter.wait_notification(ctx);
+        });
+    }
     kernel.spawn("tx", move |ctx| {
         let name = names.recv(ctx);
         ctx.advance(SimDur::from_us(100.0));
@@ -134,11 +159,19 @@ fn daemon_crash_outage_is_survived_by_import_retry() {
         let src = tx.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
         tx.proc_().write_u32(ctx, src, 7).unwrap();
         tx.send(ctx, src, &dst, 0, 4).unwrap();
+        let late = tx.import(ctx, NodeId(1), late_names.recv(ctx)).unwrap();
+        tx.send_notify(ctx, src, &late, 0, 4).unwrap();
     });
     kernel.run_until_quiescent().unwrap();
 
     assert!(
         matches!(got.lock().clone(), Some(VmmcError::DaemonUnavailable { node }) if node == NodeId(1))
+    );
+    let done = late_done.lock().expect("late exporter ran");
+    assert!(done >= at_us(8_100.0), "export waited for the restart");
+    assert!(
+        *notified.lock(),
+        "the handler survived the refused attempts"
     );
     assert_eq!(system.daemon(1).restarts(), 1);
     assert!(!system.daemon(1).is_down());
@@ -151,7 +184,8 @@ fn daemon_crash_outage_is_survived_by_import_retry() {
 }
 
 /// Exhausting the retry policy during a long outage surfaces a typed
-/// timeout whose budget matches the policy.
+/// timeout whose budget matches the policy, for imports and exports
+/// alike.
 #[test]
 fn import_retry_times_out_when_outage_outlasts_policy() {
     let (kernel, system) = prototype();
@@ -170,14 +204,22 @@ fn import_retry_times_out_when_outage_outlasts_policy() {
     }]);
     system.apply_faults(&plan);
 
+    let policy = RetryPolicy::new(3, SimDur::from_us(1_000.0), SimDur::from_us(4_000.0));
+    let budget = SimDur::from_us(1_000.0) + SimDur::from_us(2_000.0) + SimDur::from_us(4_000.0);
+    let exported = Arc::new(Mutex::new(None));
     {
         let names = names.clone();
+        let exported = Arc::clone(&exported);
         kernel.spawn("rx", move |ctx| {
             let buf = rx.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
             let name = rx
                 .export(ctx, buf, PAGE_SIZE, ExportOpts::default())
                 .unwrap();
             names.send(&ctx.handle(), name);
+            // A second export, after the crash, outlives the policy too.
+            ctx.advance(SimDur::from_us(150.0));
+            *exported.lock() =
+                Some(rx.export_retry(ctx, buf, PAGE_SIZE, ExportOpts::default(), policy));
         });
     }
     let seen = Arc::new(Mutex::new(None));
@@ -186,21 +228,24 @@ fn import_retry_times_out_when_outage_outlasts_policy() {
         kernel.spawn("tx", move |ctx| {
             let name = names.recv(ctx);
             ctx.advance(SimDur::from_us(50.0));
-            let policy = RetryPolicy::new(3, SimDur::from_us(1_000.0), SimDur::from_us(4_000.0));
             *seen.lock() = Some(tx.import_retry(ctx, NodeId(1), name, policy));
         });
     }
     kernel.run_until_quiescent().unwrap();
-    let outcome = seen.lock().take().expect("tx ran");
-    match outcome {
-        Err(VmmcError::Timeout { op, waited }) => {
-            assert_eq!(op, "import");
-            assert_eq!(
-                waited,
-                SimDur::from_us(1_000.0) + SimDur::from_us(2_000.0) + SimDur::from_us(4_000.0)
-            );
+    for (want, outcome) in [
+        ("import", seen.lock().take().expect("tx ran").map(|_| ())),
+        (
+            "export",
+            exported.lock().take().expect("rx ran").map(|_| ()),
+        ),
+    ] {
+        match outcome {
+            Err(VmmcError::Timeout { op, waited }) => {
+                assert_eq!(op, want);
+                assert_eq!(waited, budget);
+            }
+            other => panic!("expected {want} timeout, got {other:?}"),
         }
-        other => panic!("expected timeout, got {other:?}"),
     }
 }
 

@@ -29,9 +29,9 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{ExportOpts, Vmmc, VmmcError};
+use shrimp_core::ExportOpts;
 use shrimp_node::{CacheMode, UserProc, VAddr};
-use shrimp_sim::{fnv1a, Ctx, RetryPolicy, SimHandle};
+use shrimp_sim::{fnv1a, RetryPolicy, SimHandle};
 
 use crate::cluster::SvcCluster;
 use crate::store::{ShardStore, MAX_KEY, MAX_VAL};
@@ -185,7 +185,12 @@ pub(crate) fn spawn_rt_exporter(
             base,
         };
         region.clear_all();
-        let Ok(bufname) = export_rt(&vmmc, ctx, base, total) else {
+        let opts = ExportOpts {
+            read: true,
+            ..Default::default()
+        };
+        let Ok(bufname) = vmmc.export_retry(ctx, base, total, opts, RetryPolicy::bootstrap())
+        else {
             // The daemon never came back up within the bootstrap
             // budget; this generation serves without read-through.
             return;
@@ -201,31 +206,6 @@ pub(crate) fn spawn_rt_exporter(
         }
         cluster.set_rt_pub(shard, epoch, node, bufname);
     });
-}
-
-/// Export that rides out daemon outages with the bootstrap backoff
-/// (mirrors the record stream's `export_retry`, with read permission).
-fn export_rt(
-    vmmc: &Vmmc,
-    ctx: &Ctx,
-    base: VAddr,
-    len: usize,
-) -> Result<shrimp_core::BufferName, VmmcError> {
-    let policy = RetryPolicy::bootstrap();
-    for attempt in 0..policy.attempts {
-        let opts = ExportOpts {
-            read: true,
-            ..Default::default()
-        };
-        match vmmc.export(ctx, base, len, opts) {
-            Err(VmmcError::DaemonUnavailable { .. }) => ctx.advance(policy.timeout(attempt)),
-            other => return other,
-        }
-    }
-    Err(VmmcError::Timeout {
-        op: "svc rt export",
-        waited: policy.total_budget(),
-    })
 }
 
 #[cfg(test)]
